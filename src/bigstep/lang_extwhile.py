@@ -12,35 +12,34 @@ the configuration is stuck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import ParseError, Tokens
+from .syntax import Node, ParseError, Tokens, hash_once, sorted_put
 
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ANum:
+@hash_once
+class ANum(Node):
     value: int
 
 
-@dataclass(frozen=True)
-class AName:
+@hash_once
+class AName(Node):
     name: str  # a variable or an array identifier (base location)
 
 
-@dataclass(frozen=True)
-class AIdx:
+@hash_once
+class AIdx(Node):
     name: str  # array element read X[a]
     index: "AExp"
 
 
-@dataclass(frozen=True)
-class ABin:
+@hash_once
+class ABin(Node):
     op: str  # + - * /
     left: "AExp"
     right: "AExp"
@@ -49,82 +48,82 @@ class ABin:
 AExp = ANum | AName | AIdx | ABin
 
 
-@dataclass(frozen=True)
-class BBool:
+@hash_once
+class BBool(Node):
     value: bool
 
 
-@dataclass(frozen=True)
-class BCmp:
+@hash_once
+class BCmp(Node):
     op: str  # = <
     left: AExp
     right: AExp
 
 
-@dataclass(frozen=True)
-class BAnd:
+@hash_once
+class BAnd(Node):
     left: "BExp"
     right: "BExp"
 
 
-@dataclass(frozen=True)
-class BNot:
+@hash_once
+class BNot(Node):
     arg: "BExp"
 
 
 BExp = BBool | BCmp | BAnd | BNot
 
 
-@dataclass(frozen=True)
-class Skip:
+@hash_once
+class Skip(Node):
     pass
 
 
-@dataclass(frozen=True)
-class VarDecl:
+@hash_once
+class VarDecl(Node):
     var: str
 
 
-@dataclass(frozen=True)
-class ArrDecl:
+@hash_once
+class ArrDecl(Node):
     name: str
     size: int
 
 
-@dataclass(frozen=True)
-class Assign:
+@hash_once
+class Assign(Node):
     var: str
     expr: AExp
 
 
-@dataclass(frozen=True)
-class ArrAssign:
+@hash_once
+class ArrAssign(Node):
     name: str
     index: AExp
     expr: AExp
 
 
-@dataclass(frozen=True)
-class Seq:
+@hash_once
+class Seq(Node):
     first: "Stmt"
     second: "Stmt"
 
 
-@dataclass(frozen=True)
-class If:
+@hash_once
+class If(Node):
     cond: BExp
     then: "Stmt"
     orelse: "Stmt"
 
 
-@dataclass(frozen=True)
-class While:
+@hash_once
+class While(Node):
     cond: BExp
     body: "Stmt"
 
 
-@dataclass(frozen=True)
-class Call:
+@hash_once
+class Call(Node):
     func: str
     args: tuple[AExp, ...]
     recvs: tuple[str, ...]
@@ -134,15 +133,15 @@ Stmt = (Skip | VarDecl | ArrDecl | Assign | ArrAssign | Seq | If | While
         | Call)
 
 
-@dataclass(frozen=True)
-class Func:
+@hash_once
+class Func(Node):
     params: tuple[str, ...]
     rets: tuple[str, ...]
     body: Stmt
 
 
-@dataclass(frozen=True)
-class ExtProgram:
+@hash_once
+class ExtProgram(Node):
     funcs: tuple[tuple[str, Func], ...] = ()
 
     def lookup(self, name: str) -> Optional[Func]:
@@ -156,8 +155,8 @@ class ExtProgram:
 # States
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtState:
+@hash_once
+class ExtState(Node):
     """Store (names to optional ints, locations to ints) + next fresh loc.
 
     Only defined names are kept; a missing name is undefined.  Only nonzero
@@ -182,9 +181,8 @@ class ExtState:
         return None
 
     def with_name(self, n: str, value: int) -> "ExtState":
-        d = dict(self.names)
-        d[n] = value
-        return ExtState.of(d, dict(self.heap), self.nextloc)
+        return ExtState(sorted_put(self.names, n, value), self.heap,
+                        self.nextloc)
 
     def loc(self, location: int) -> int:
         for k, v in self.heap:
@@ -193,9 +191,9 @@ class ExtState:
         return 0
 
     def with_loc(self, location: int, value: int) -> "ExtState":
-        d = dict(self.heap)
-        d[location] = value
-        return ExtState.of(dict(self.names), d, self.nextloc)
+        return ExtState(self.names,
+                        sorted_put(self.heap, location, value, drop_zero=True),
+                        self.nextloc)
 
     def with_nextloc(self, nextloc: int) -> "ExtState":
         return ExtState(self.names, self.heap, nextloc)
@@ -207,8 +205,8 @@ class ExtState:
         return ", ".join(parts)
 
 
-@dataclass(frozen=True)
-class ExtConfig:
+@hash_once
+class ExtConfig(Node):
     stmt: Stmt
     state: ExtState
     program: ExtProgram

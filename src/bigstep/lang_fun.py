@@ -6,93 +6,115 @@ abstractions, and lists built from nil and cons of canonical forms.
 Substitution is capture-as-written: no alpha-renaming is performed, so
 substituting an open lambda canonical form can capture variables.  The
 bundled programs only substitute closed forms and never trigger this.
+
+Each node caches its occurrence set: the variables `v` for which
+`subst(e, v, c)` reaches an `FVar(v)` it would replace.  `subst` returns a
+subterm unchanged when the variable is not in that set, so beta steps do
+not rebuild (and re-hash) closed subterms.  The set follows `subst`'s own
+traversal, which is not quite the free-variable set: a lambda shadows its
+binder, but `subst` enters a letrec's bound lambda even when the letrec
+binds the variable, so
+`occ(letrec v = bound in body) = occ(bound) | (occ(body) - {v})`
+keeps `v` when the bound lambda mentions it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import ParseError, Tokens
+from .syntax import Node, ParseError, Tokens, hash_once, set_hash
 
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FNum:
+class FNode(Node):
+    """A `Node` that also caches its occurrence set (see `occurrences`)."""
+
+    __slots__ = ("_occ",)
+
+    def __post_init__(self):
+        set_hash(self, None)
+        _set_occ(self, None)
+
+
+_set_occ = FNode._occ.__set__
+
+
+@hash_once
+class FNum(FNode):
     value: int
 
 
-@dataclass(frozen=True)
-class FBool:
+@hash_once
+class FBool(FNode):
     value: bool
 
 
-@dataclass(frozen=True)
-class FBin:
+@hash_once
+class FBin(FNode):
     op: str  # + - * / = <
     left: "FExpr"
     right: "FExpr"
 
 
-@dataclass(frozen=True)
-class FNot:
+@hash_once
+class FNot(FNode):
     arg: "FExpr"
 
 
-@dataclass(frozen=True)
-class FAnd:
+@hash_once
+class FAnd(FNode):
     left: "FExpr"
     right: "FExpr"
 
 
-@dataclass(frozen=True)
-class FIf:
+@hash_once
+class FIf(FNode):
     cond: "FExpr"
     then: "FExpr"
     orelse: "FExpr"
 
 
-@dataclass(frozen=True)
-class FNil:
+@hash_once
+class FNil(FNode):
     pass
 
 
-@dataclass(frozen=True)
-class FCons:
+@hash_once
+class FCons(FNode):
     head: "FExpr"
     tail: "FExpr"
 
 
-@dataclass(frozen=True)
-class FListCase:
+@hash_once
+class FListCase(FNode):
     scrutinee: "FExpr"
     on_nil: "FExpr"
     on_cons: "FExpr"
 
 
-@dataclass(frozen=True)
-class FVar:
+@hash_once
+class FVar(FNode):
     name: str
 
 
-@dataclass(frozen=True)
-class FApp:
+@hash_once
+class FApp(FNode):
     func: "FExpr"
     arg: "FExpr"
 
 
-@dataclass(frozen=True)
-class FLam:
+@hash_once
+class FLam(FNode):
     var: str
     body: "FExpr"
 
 
-@dataclass(frozen=True)
-class FLetRec:
+@hash_once
+class FLetRec(FNode):
     var: str
     bound: "FLam"
     body: "FExpr"
@@ -120,10 +142,53 @@ def as_canonical(e: FExpr) -> Optional[FExpr]:
 # Substitution of a canonical form for a variable
 # ---------------------------------------------------------------------------
 
-def subst(e: FExpr, x: str, c: FExpr) -> FExpr:
+_NO_OCC = frozenset()
+
+
+# Both helpers share a set rather than copy it when nothing changes.
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    if not b:
+        return a
+    return a | b if a else b
+
+
+def _without(occ: frozenset, v: str) -> frozenset:
+    return (occ - {v} or _NO_OCC) if v in occ else occ
+
+
+def occurrences(e: FExpr) -> frozenset:
+    """The variables `x` for which `subst(e, x, c)` replaces something."""
+    occ = e._occ
+    if occ is not None:
+        return occ
     match e:
         case FNum(_) | FBool(_) | FNil():
-            return e
+            occ = _NO_OCC
+        case FVar(v):
+            occ = frozenset((v,))
+        case FLam(v, body):
+            occ = _without(occurrences(body), v)
+        case FLetRec(v, bound, body):
+            # The bound lambda is entered even when `v` is the variable.
+            occ = _union(occurrences(bound), _without(occurrences(body), v))
+        case FBin(_, l, r) | FAnd(l, r) | FCons(l, r) | FApp(l, r):
+            occ = _union(occurrences(l), occurrences(r))
+        case FNot(a):
+            occ = occurrences(a)
+        case FIf(a, b, d) | FListCase(a, b, d):
+            occ = _union(_union(occurrences(a), occurrences(b)),
+                         occurrences(d))
+        case _:
+            raise ValueError("bad expression: %r" % (e,))
+    _set_occ(e, occ)
+    return occ
+
+
+def subst(e: FExpr, x: str, c: FExpr) -> FExpr:
+    if x not in occurrences(e):
+        # Also covers constants and lambdas binding `x`.
+        return e
+    match e:
         case FBin(op, l, r):
             return FBin(op, subst(l, x, c), subst(r, x, c))
         case FNot(a):
@@ -136,13 +201,11 @@ def subst(e: FExpr, x: str, c: FExpr) -> FExpr:
             return FCons(subst(h, x, c), subst(t, x, c))
         case FListCase(s, n, k):
             return FListCase(subst(s, x, c), subst(n, x, c), subst(k, x, c))
-        case FVar(v):
-            return c if v == x else e
+        case FVar(_):
+            return c
         case FApp(f, a):
             return FApp(subst(f, x, c), subst(a, x, c))
         case FLam(v, body):
-            if v == x:
-                return e
             return FLam(v, subst(body, x, c))
         case FLetRec(v, bound, body):
             # The binder shadows the body, but substitution still enters

@@ -8,28 +8,26 @@ variables a program has touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import ParseError, Tokens
+from .syntax import Node, ParseError, Tokens, hash_once, sorted_put
 
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ANum:
+@hash_once
+class ANum(Node):
     value: int
 
 
-@dataclass(frozen=True)
-class AVar:
+@hash_once
+class AVar(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class ABin:
+@hash_once
+class ABin(Node):
     op: str  # + - *
     left: "AExp"
     right: "AExp"
@@ -38,58 +36,58 @@ class ABin:
 AExp = ANum | AVar | ABin
 
 
-@dataclass(frozen=True)
-class BBool:
+@hash_once
+class BBool(Node):
     value: bool
 
 
-@dataclass(frozen=True)
-class BCmp:
+@hash_once
+class BCmp(Node):
     op: str  # = <
     left: AExp
     right: AExp
 
 
-@dataclass(frozen=True)
-class BAnd:
+@hash_once
+class BAnd(Node):
     left: "BExp"
     right: "BExp"
 
 
-@dataclass(frozen=True)
-class BNot:
+@hash_once
+class BNot(Node):
     arg: "BExp"
 
 
 BExp = BBool | BCmp | BAnd | BNot
 
 
-@dataclass(frozen=True)
-class Skip:
+@hash_once
+class Skip(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Assign:
+@hash_once
+class Assign(Node):
     var: str
     expr: AExp
 
 
-@dataclass(frozen=True)
-class Seq:
+@hash_once
+class Seq(Node):
     first: "Stmt"
     second: "Stmt"
 
 
-@dataclass(frozen=True)
-class If:
+@hash_once
+class If(Node):
     cond: BExp
     then: "Stmt"
     orelse: "Stmt"
 
 
-@dataclass(frozen=True)
-class While:
+@hash_once
+class While(Node):
     cond: BExp
     body: "Stmt"
 
@@ -101,8 +99,8 @@ Stmt = Skip | Assign | Seq | If | While
 # States and configurations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WhileState:
+@hash_once
+class WhileState(Node):
     bindings: tuple[tuple[str, int], ...] = ()
 
     @classmethod
@@ -117,9 +115,8 @@ class WhileState:
         return 0
 
     def set(self, name: str, value: int) -> "WhileState":
-        d = dict(self.bindings)
-        d[name] = value
-        return WhileState.of(d)
+        return WhileState(sorted_put(self.bindings, name, value,
+                                     drop_zero=True))
 
     def __str__(self):
         if not self.bindings:
@@ -127,8 +124,8 @@ class WhileState:
         return ", ".join("%s=%d" % (k, v) for k, v in self.bindings)
 
 
-@dataclass(frozen=True)
-class WhileConfig:
+@hash_once
+class WhileConfig(Node):
     stmt: Stmt
     state: WhileState
 

@@ -1,8 +1,70 @@
-"""Shared tokenizer for the bundled concrete syntaxes."""
+"""Shared pieces of the bundled languages: hash-once nodes for their
+syntax, states and configurations, and a tokenizer for their concrete
+syntaxes."""
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from dataclasses import dataclass, fields
+
+
+class Node:
+    """Base of the `hash_once` classes; holds the cached hash.
+
+    The kernel keys its sets and dicts on configurations, and a plain
+    frozen dataclass re-walks the whole term, state and program on every
+    `hash`.  A node instead hashes its fields once, on first use, and keeps
+    the value in the `_hash` slot (cf. Filliatre and Conchon, "Type-safe
+    modular hash-consing", ML Workshop 2006).  The value is the one the
+    plain dataclass computes, so hash-ordered containers behave as before.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self):
+        # Set the slot so the first hash needs no AttributeError fallback.
+        set_hash(self, None)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._field_hash()
+            set_hash(self, h)
+        return h
+
+    def __setstate__(self, state):
+        # Copies and unpickled nodes start with empty caches: a hash built
+        # from `str` hashes is stale under another PYTHONHASHSEED.
+        for f, value in zip(fields(self), state):
+            object.__setattr__(self, f.name, value)
+        self.__post_init__()
+
+
+# Frozen dataclasses forbid plain assignment.  Setting a slot through its
+# descriptor is several times cheaper than `object.__setattr__`, and nodes
+# are built by the hundred thousand.
+set_hash = Node._hash.__set__
+
+
+def hash_once(cls):
+    """Make `cls`, a `Node` subclass, a slotted frozen dataclass whose hash
+    is computed at most once.  Equality, `__match_args__` and `repr` are
+    the dataclass's own."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = Node.__hash__
+    cls.__setstate__ = Node.__setstate__
+    return cls
+
+
+def sorted_put(pairs: tuple, key, value, drop_zero: bool = False) -> tuple:
+    """`pairs` (sorted by key, keys unique) with `key` bound to `value`;
+    with `drop_zero`, a zero value removes the key instead."""
+    i = bisect_left(pairs, (key,))
+    j = i + 1 if i < len(pairs) and pairs[i][0] == key else i
+    new = () if drop_zero and value == 0 else ((key, value),)
+    return pairs[:i] + new + pairs[j:]
 
 
 class ParseError(Exception):

@@ -1,10 +1,15 @@
 """Command-line front end: every exit code is reachable, structured output
 is deterministic, and environment variables override budget flags."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bigstep
 from bigstep.cli import main
 
 
@@ -112,6 +117,41 @@ def test_json_output_is_byte_identical_across_runs(capsys):
     doc = json.loads(out1)
     assert doc["schema_version"] == "1"
     assert set(doc) >= {"status", "counterexamples", "stats", "budget"}
+
+
+# The README's command-line examples with `--format json`, and the SHA-256
+# of each one's output, recorded before nodes cached their hashes: neither
+# the hash seed nor how hashes are computed may change what a user sees.
+README_JSON_DIGESTS = [
+    (("run", "--lang", "while", "--config",
+      "fac := m ; while 1 < m do (m := m - 1 ; fac := fac * m)",
+      "--state", "m=5"),
+     "5d93014518cf89e5b2eefd99b3b17954181618fe5bed080fc5808e6fe01e2c1d"),
+    (("derive", "--lang", "fun", "--config", "1 :: 2 :: nil"),
+     "ff76fc707bfaae5da4e297bccc48df75c9171215cd85bb819c04fee01911653e"),
+    (("check-verif", "--lang", "while", "--spec", "fac", "--m", "1..6"),
+     "a56e6257650bcf726b3c75348863bce9eb797b434ee5f9a0e7a8a80f829f3ef3"),
+    (("check-verif", "--lang", "extwhile", "--spec", "msort", "--count", "8",
+      "--depth", "512"),
+     "0d244bab300d6e3f3387ef9ad569d6fea4e3ca82498c69f2ba5157f12f5bf7e6"),
+    (("crosscheck", "--lang", "fun", "--spec", "mglist", "--count", "6",
+      "--depth", "512"),
+     "a39a8b919ab7a4046c189e4851f29f4112a18163c84b643345b056b05dfd141e"),
+    (("star-check", "--lang", "while", "--depth", "8", "--count", "50"),
+     "01da192c1f4dd3aa4298d0293f75ff860d71193ca9d7f41e3b81cae4fa39b1c7"),
+]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_readme_json_output_is_byte_identical_across_hash_seeds(hash_seed):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bigstep.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    for argv, digest in README_JSON_DIGESTS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bigstep", *argv, "--format", "json"],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr.decode())
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, argv
 
 
 def test_environment_variables_override_budget(capsys, monkeypatch):

@@ -1,13 +1,15 @@
 """Functional language: one test per semantic rule, one test per defining
 equation of substitution, canonical forms, and list-merge evaluation."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from bigstep.kernel import Conclude, Need, SampleBudget, derive_all, derive_one
 from bigstep.lang_fun import (FAnd, FApp, FBin, FBool, FCons, FIf, FLam,
                               FLetRec, FListCase, FNil, FNot, FNum, FVar,
-                              PLUGIN, fun_rules, is_canonical, parse_expr,
-                              print_expr, subst)
+                              PLUGIN, fun_rules, is_canonical, occurrences,
+                              parse_expr, print_expr, subst)
 from bigstep.spec_lib import cfm_of_list, list_of_lstcfm, merge_expr
 
 B = SampleBudget(max_depth=512, max_samples=4, seed=0)
@@ -194,6 +196,7 @@ def test_subst_application_descends_both_sides():
 def test_subst_lambda_same_binder_shadows():
     e = FLam("x", FVar("x"))
     assert subst(e, "x", C) == e
+    assert occurrences(e) == frozenset()
 
 
 def test_subst_lambda_different_binder_descends():
@@ -203,13 +206,82 @@ def test_subst_lambda_different_binder_descends():
 def test_subst_letrec_same_binder_shadows_body_but_enters_bound_lambda():
     e = FLetRec("x", FLam("y", FVar("x")), FVar("x"))
     # The bound lambda is still rewritten (its own binder is y, not x);
-    # only the letrec body is shadowed.
+    # only the letrec body is shadowed.  So the occurrence set keeps x.
     assert subst(e, "x", C) == FLetRec("x", FLam("y", C), FVar("x"))
+    assert occurrences(e) == {"x"}
 
 
 def test_subst_letrec_different_binder_descends_into_body():
     e = FLetRec("f", FLam("y", FVar("x")), FVar("x"))
     assert subst(e, "x", C) == FLetRec("f", FLam("y", C), C)
+
+
+def test_subst_returns_subterms_without_occurrences_unchanged():
+    closed = parse_expr(r"\y. y :: 1 :: nil")
+    e = FApp(FVar("x"), closed)
+    out = subst(e, "x", C)
+    assert out == FApp(C, closed) and out.arg is closed
+    assert subst(closed, "x", C) is closed
+
+
+def reference_subst(e, x, c):
+    """Substitution rebuilding every node, as before occurrence sets."""
+    match e:
+        case FNum(_) | FBool(_) | FNil():
+            return e
+        case FBin(op, l, r):
+            return FBin(op, reference_subst(l, x, c), reference_subst(r, x, c))
+        case FNot(a):
+            return FNot(reference_subst(a, x, c))
+        case FAnd(l, r):
+            return FAnd(reference_subst(l, x, c), reference_subst(r, x, c))
+        case FIf(a, b, d):
+            return FIf(reference_subst(a, x, c), reference_subst(b, x, c),
+                       reference_subst(d, x, c))
+        case FCons(h, t):
+            return FCons(reference_subst(h, x, c), reference_subst(t, x, c))
+        case FListCase(s, n, k):
+            return FListCase(reference_subst(s, x, c),
+                             reference_subst(n, x, c),
+                             reference_subst(k, x, c))
+        case FVar(v):
+            return c if v == x else e
+        case FApp(f, a):
+            return FApp(reference_subst(f, x, c), reference_subst(a, x, c))
+        case FLam(v, body):
+            if v == x:
+                return e
+            return FLam(v, reference_subst(body, x, c))
+        case FLetRec(v, bound, body):
+            new_bound = reference_subst(bound, x, c)
+            if v == x:
+                return FLetRec(v, new_bound, body)
+            return FLetRec(v, new_bound, reference_subst(body, x, c))
+    raise ValueError("bad expression: %r" % (e,))
+
+
+_names = st.sampled_from("xy")
+_fexpr = st.recursive(
+    st.integers(-2, 2).map(FNum) | st.booleans().map(FBool)
+    | st.just(FNil()) | _names.map(FVar),
+    lambda kids: st.one_of(
+        st.builds(FBin, st.sampled_from("+-*/=<"), kids, kids),
+        st.builds(FNot, kids),
+        st.builds(FAnd, kids, kids),
+        st.builds(FIf, kids, kids, kids),
+        st.builds(FCons, kids, kids),
+        st.builds(FListCase, kids, kids, kids),
+        st.builds(FApp, kids, kids),
+        st.builds(FLam, _names, kids),
+        st.builds(FLetRec, _names, st.builds(FLam, _names, kids), kids)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fexpr, _names, _fexpr)
+def test_subst_agrees_with_rebuilding_reference(e, x, c):
+    # Open terms, shadowing lambdas and letrecs binding `x` included.
+    assert subst(e, x, c) == reference_subst(e, x, c)
 
 
 # ---------------------------------------------------------------------------
