@@ -15,8 +15,12 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-# Derivation trees are walked recursively; deep (but bounded) derivations
-# such as long loop runs need more headroom than the default stack limit.
+# Derivations are walked on an explicit stack, so their height is bounded by
+# the depth budget alone.  Terms are still walked recursively on their
+# nesting depth (the parsers, lang_fun's occurrence sets and substitution,
+# printers, the first hash and equality of a node, trace rendering and
+# replay), and a long literal list such as a 1,000-element `fun` list needs
+# more headroom than the default stack limit.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 Config = Any
@@ -51,12 +55,14 @@ class Need:
 RuleApplication = Conclude | Need
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LanguagePlugin:
     """A language: rule enumeration plus concrete-syntax adapters.
 
     `rules(gamma)` returns every rule instance whose conclusion configuration
     is `gamma`, in a fixed order; an empty list means `gamma` is stuck.
+    Plugins compare and hash by identity: the derivation memo is keyed by
+    the plugin object, so two plugins sharing a name never share results.
     """
 
     name: str
@@ -141,10 +147,186 @@ def seeded_rng(seed: int, *key: object) -> random.Random:
 
 
 # ---------------------------------------------------------------------------
-# Derivation enumeration
+# The derivation engine
 # ---------------------------------------------------------------------------
 
+# Derivation memo: (plugin, config, depth) -> (results, exhausted).
 _DERIVE_CACHE: dict[tuple, tuple[tuple, bool]] = {}
+
+_OPEN = object()  # no value yet: the configuration needs a frame
+
+
+def _walk(plugin, gamma, depth, policy, visit=None, spec=None, param=None,
+          budget=None, extra=None):
+    """Walk the derivations of `gamma` within `depth`, on an explicit stack.
+
+    The premise policy picks what a premise contributes and what a frame
+    returns:
+
+    - "all": every result of the premise; returns (results, exhausted).
+      Memoized unless `visit` is given, which is then called on every
+      configuration opened, in order.
+    - "first": the premise's first result only; returns the first result
+      of `gamma`, or None.  Depth 0 is cut without enumerating rules.
+    - "spec": candidates drawn from `spec.at(param, premise)` when that is
+      Constrained (sampled plus `extra(premise)`, membership-filtered),
+      else every inferred result; returns ({result: InferTrace},
+      exhausted).
+
+    Work is done in exactly the order of a recursive walk that tries rule
+    instances in order, derives a premise fully before feeding its results
+    one at a time to `rest`, and finishes each continuation before the
+    next result, so results, traces and every plugin and spec call come in
+    the same order.
+    """
+    rules = plugin.rules
+    first, infer = policy == "first", policy == "spec"
+    memo = _DERIVE_CACHE if policy == "all" and visit is None else None
+    # The frame being worked on lives in locals: `top` is its (gamma,
+    # depth, memo key); its rule instances `apps` start in order, `nxt`
+    # indexing the next one; work they start goes on `agenda`, a LIFO
+    # drained before the next instance starts.  Agenda items are
+    # continuations (app, steps, rule index) and resume points (need,
+    # steps, rule index, candidates, next position) that feed a premise's
+    # next candidate result to `need.rest`; `steps` are the PremiseSteps
+    # taken so far (spec policy only).  `out` maps each result to its
+    # InferTrace (spec) or None (all), in first-found order; the first
+    # policy keeps its one result there instead.  `waiting` is the (need,
+    # steps, rule index) of the premise being derived below.  Suspended
+    # frames are saved on `stack`.
+    stack: list = []
+    top = None
+    while True:
+        # Open `gamma` at `depth`: its value is known at once, or it gets a
+        # frame of its own.
+        key = None
+        value = _OPEN
+        if first and depth <= 0:
+            value = None
+        else:
+            if memo is not None:
+                key = (plugin, gamma, depth)
+                value = memo.get(key, _OPEN)
+            if value is _OPEN:
+                if visit is not None:
+                    visit(gamma)
+                opened = rules(gamma)
+                if depth <= 0:
+                    value = ({} if infer else (), bool(opened))
+                elif len(opened) == 1 and isinstance(opened[0], Conclude):
+                    # An axiom instance needs no frame.
+                    r = opened[0].result
+                    value = (r if first else
+                             ({r: InferTrace(gamma, r, 0, ())}, False)
+                             if infer else ((r,), False))
+                if memo is not None and value is not _OPEN:
+                    memo[key] = value
+        if value is _OPEN:
+            if top is not None:
+                # Once all its rule instances have started, a suspended frame
+                # drops them: they hold closures, and a long loop suspends a
+                # frame per iteration.
+                stack.append((top, apps if nxt < len(apps) else (), nxt,
+                              agenda, out, exhausted, waiting))
+            top, apps, nxt, agenda = (gamma, depth, key), opened, 0, []
+            out, exhausted = None if first else {}, False
+
+        while True:
+            if value is not _OPEN:
+                # `value` answers the premise the frame waits on.
+                if top is None:
+                    return value
+                if first:
+                    # One candidate at most: feed it to `rest` at once.
+                    if value is not None:
+                        cont = waiting[0].rest(value)
+                        if cont is not None:
+                            agenda.append((cont, (), waiting[2]))
+                    cands = ()
+                else:
+                    sub, ex = value
+                    exhausted = exhausted or ex
+                    cands = ([(r, "inferred", t) for r, t in sub.items()]
+                             if infer else sub)
+                if cands:
+                    agenda.append(waiting + (cands, 0))
+                value = _OPEN
+
+            gamma = None
+            while True:
+                if agenda:
+                    item = agenda.pop()
+                    if len(item) == 5:
+                        need, steps, idx, cands, pos = item
+                        if pos + 1 < len(cands):
+                            agenda.append((need, steps, idx, cands, pos + 1))
+                        r = cands[pos]
+                        if infer:
+                            r, via, sub = r
+                            steps += (PremiseStep(need.premise, r, via, sub),)
+                        cont = need.rest(r)
+                        if cont is not None:
+                            agenda.append((cont, steps, idx))
+                        continue
+                    app, steps, idx = item
+                elif nxt < len(apps):
+                    app, steps, idx = apps[nxt], (), nxt
+                    nxt += 1
+                else:
+                    break
+                if isinstance(app, Conclude):
+                    r = app.result
+                    if first:
+                        out = r
+                        break
+                    if not infer:
+                        out[r] = None
+                    elif r not in out:
+                        out[r] = InferTrace(top[0], r, idx, steps)
+                    continue
+                if infer:
+                    sset = spec.at(param, app.premise)
+                    if isinstance(sset, Constrained):
+                        cands = _sampled(sset, budget, extra, app.premise)
+                        if cands:
+                            agenda.append((app, steps, idx, cands, 0))
+                        continue
+                waiting = (app, steps, idx)
+                gamma, depth = app.premise, top[1] - 1
+                break
+            if gamma is not None:
+                break  # open the premise
+
+            if first:
+                value = out
+            elif infer:
+                value = (out, exhausted)
+            else:
+                value = (tuple(out), exhausted)
+                if memo is not None:
+                    memo[top[2]] = value
+            if stack:
+                top, apps, nxt, agenda, out, exhausted, waiting = stack.pop()
+            else:
+                top = None
+
+
+def _sampled(sset, budget, extra, premise) -> list:
+    """A constrained premise's candidates: sampled, then `extra`'s, each
+    kept once and only if it is a member."""
+    cands: list = []
+    seen: set = set()
+
+    def add(source):
+        for c in source:
+            if c not in seen and sset.contains(c):
+                seen.add(c)
+                cands.append((c, "sampled", None))
+
+    add(sset.sample(budget))
+    if extra is not None:
+        add(extra(premise))
+    return cands
 
 
 def derive_all(plugin: LanguagePlugin, gamma: Config, budget: SampleBudget,
@@ -157,48 +339,7 @@ def derive_all(plugin: LanguagePlugin, gamma: Config, budget: SampleBudget,
     has no derivation at all.  `visit`, when given, is called on every
     configuration the enumeration touches (used for corpus harvesting).
     """
-    return _derive(plugin, gamma, budget.max_depth, visit)
-
-
-def _derive(plugin, gamma, depth, visit):
-    key = (plugin.name, gamma, depth)
-    if visit is None:
-        hit = _DERIVE_CACHE.get(key)
-        if hit is not None:
-            return hit
-    else:
-        visit(gamma)
-    apps = plugin.rules(gamma)
-    if depth <= 0:
-        out = ((), bool(apps))
-        if visit is None:
-            _DERIVE_CACHE[key] = out
-        return out
-
-    results: list = []
-    seen: set = set()
-    exhausted = False
-
-    def walk(app):
-        nonlocal exhausted
-        if isinstance(app, Conclude):
-            if app.result not in seen:
-                seen.add(app.result)
-                results.append(app.result)
-            return
-        sub, ex = _derive(plugin, app.premise, depth - 1, visit)
-        exhausted = exhausted or ex
-        for r in sub:
-            cont = app.rest(r)
-            if cont is not None:
-                walk(cont)
-
-    for app in apps:
-        walk(app)
-    out = (tuple(results), exhausted)
-    if visit is None:
-        _DERIVE_CACHE[key] = out
-    return out
+    return _walk(plugin, gamma, budget.max_depth, "all", visit=visit)
 
 
 def derive_one(plugin: LanguagePlugin, gamma: Config,
@@ -208,28 +349,7 @@ def derive_one(plugin: LanguagePlugin, gamma: Config,
     Fast path for deterministic languages; any value returned is a member of
     derive_all's set for the same budget.
     """
-
-    def go(g, depth):
-        if depth <= 0:
-            return None
-        for app in plugin.rules(g):
-            r = walk(app, depth)
-            if r is not None:
-                return r
-        return None
-
-    def walk(app, depth):
-        if isinstance(app, Conclude):
-            return app.result
-        sub = go(app.premise, depth - 1)
-        if sub is None:
-            return None
-        cont = app.rest(sub)
-        if cont is None:
-            return None
-        return walk(cont, depth)
-
-    return go(gamma, budget.max_depth)
+    return _walk(plugin, gamma, budget.max_depth, "first")
 
 
 # ---------------------------------------------------------------------------
@@ -279,52 +399,8 @@ def infer_results(plugin, spec, param, gamma, budget, extra_sampler=None):
 def infer_results_traced(plugin, spec, param, gamma, budget,
                          extra_sampler=None):
     """Like infer_results but returns {result: InferTrace} (first trace wins)."""
-    return _infer(plugin, spec, param, gamma, budget, budget.max_depth,
-                  extra_sampler)
-
-
-def _infer(plugin, spec, param, gamma, budget, depth, extra):
-    apps = plugin.rules(gamma)
-    if depth <= 0:
-        return {}, bool(apps)
-
-    out: dict = {}
-    exhausted = False
-
-    def candidates(premise):
-        nonlocal exhausted
-        sset = spec.at(param, premise)
-        if isinstance(sset, Constrained):
-            cands, seen = [], set()
-            for c in sset.sample(budget):
-                if c not in seen and sset.contains(c):
-                    seen.add(c)
-                    cands.append((c, "sampled", None))
-            if extra is not None:
-                for c in extra(premise):
-                    if c not in seen and sset.contains(c):
-                        seen.add(c)
-                        cands.append((c, "sampled", None))
-            return cands
-        sub, ex = _infer(plugin, spec, param, premise, budget, depth - 1, extra)
-        exhausted = exhausted or ex
-        return [(r, "inferred", t) for r, t in sub.items()]
-
-    def walk(app, steps, idx):
-        if isinstance(app, Conclude):
-            if app.result not in out:
-                out[app.result] = InferTrace(gamma, app.result, idx,
-                                             tuple(steps))
-            return
-        for r, via, sub in candidates(app.premise):
-            cont = app.rest(r)
-            if cont is not None:
-                walk(cont, steps + [PremiseStep(app.premise, r, via, sub)],
-                     idx)
-
-    for i, app in enumerate(apps):
-        walk(app, [], i)
-    return out, exhausted
+    return _walk(plugin, gamma, budget.max_depth, "spec", spec=spec,
+                 param=param, budget=budget, extra=extra_sampler)
 
 
 def replay_trace(plugin: LanguagePlugin,
@@ -378,15 +454,25 @@ class CheckReport:
     stats: dict
 
     def to_dict(self, plugin: LanguagePlugin) -> dict:
+        # Traces share sub-traces and each step's config is its sub-trace's
+        # config, so every node is printed once per report.
+        texts: dict = {}
+
+        def pretty(node):
+            text = texts.get(node)
+            if text is None:
+                text = texts[node] = plugin.pretty(node)
+            return text
+
         return {
             "status": self.status,
             "counterexamples": [
                 {
                     "param": repr(cx.param),
-                    "config": plugin.pretty(cx.config),
-                    "result": plugin.pretty(cx.result),
+                    "config": pretty(cx.config),
+                    "result": pretty(cx.result),
                     "expected": cx.expected,
-                    "trace": _trace_dict(plugin, cx.trace),
+                    "trace": _trace_dict(pretty, cx.trace),
                 }
                 for cx in self.counterexamples
             ],
@@ -394,19 +480,19 @@ class CheckReport:
         }
 
 
-def _trace_dict(plugin, trace):
+def _trace_dict(pretty, trace):
     if trace is None:
         return None
     return {
-        "config": plugin.pretty(trace.config),
-        "result": plugin.pretty(trace.result),
+        "config": pretty(trace.config),
+        "result": pretty(trace.result),
         "rule_index": trace.rule_index,
         "premises": [
             {
-                "config": plugin.pretty(s.config),
-                "result": plugin.pretty(s.result),
+                "config": pretty(s.config),
+                "result": pretty(s.result),
                 "via": s.via,
-                "sub": _trace_dict(plugin, s.sub),
+                "sub": _trace_dict(pretty, s.sub),
             }
             for s in trace.premises
         ],
@@ -427,8 +513,7 @@ def _reachable(plugin, corpus, budget) -> list:
     """Configurations touched while deriving the corpus, in visit order."""
     visited: dict = {}
     for gamma in corpus:
-        _derive(plugin, gamma, budget.max_depth,
-                lambda g: visited.setdefault(g, None))
+        derive_all(plugin, gamma, budget, visited.setdefault)
     return list(visited)
 
 
@@ -460,7 +545,12 @@ def check_verif(plugin, spec, corpus, budget,
     a pass is evidence within the budget, not proof.
     """
     corpus = list(corpus)
-    reachable = _reachable(plugin, corpus, budget)
+    return _check_verif(plugin, spec, corpus, budget,
+                        _reachable(plugin, corpus, budget), extra_sampler)
+
+
+def _check_verif(plugin, spec, corpus, budget, reachable,
+                 extra_sampler=None) -> CheckReport:
     cexs: list = []
     exhausted = False
     checked = inferred_total = 0
@@ -519,12 +609,12 @@ def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
     with the actual derived intermediate results.  A failure here points at
     an engine bug, not a spec bug.
     """
-    pre = check_verif(plugin, spec, corpus, budget)
+    corpus = list(corpus)
+    reachable = _reachable(plugin, corpus, budget)
+    pre = _check_verif(plugin, spec, corpus, budget, reachable)
     if pre.status == FAIL:
         return CheckReport(PRECONDITION_FAILED, pre.counterexamples, pre.stats)
 
-    corpus = list(corpus)
-    reachable = _reachable(plugin, corpus, budget)
     cexs: list = []
     exhausted = False
     checked = 0

@@ -50,6 +50,19 @@ def test_budget_exhaustion_exits_four(capsys):
     assert "budget" in out
 
 
+def test_run_forty_thousand_iteration_loop_exits_zero(capsys):
+    try:
+        code, out, _ = run_cli(capsys, "run", "--lang", "while",
+                               "--config", "while 0 < x do x := x - 1",
+                               "--state", "x=40000", "--depth", "200000",
+                               "--format", "json")
+    finally:
+        bigstep.kernel._DERIVE_CACHE.clear()
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "result" and len(doc["results"]) == 1
+
+
 def test_parse_error_exits_two(capsys):
     code, _, err = run_cli(capsys, "run", "--lang", "while",
                            "--config", "x := := 1")

@@ -1,0 +1,326 @@
+"""The explicit-stack derivation engine against the recursive walkers it
+replaced, kept here as the reference: same results in the same order, same
+`exhausted` flags, same traces, and the same plugin and spec calls in the
+same order."""
+
+from dataclasses import replace
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from bigstep import PLUGINS
+from bigstep.kernel import (UNIVERSE, Conclude, Constrained, InferTrace,
+                            LanguagePlugin, Need, PremiseStep, SampleBudget,
+                            Specification, derive_all, derive_one,
+                            infer_results_traced, trivial_spec)
+from bigstep.lang_while import While
+from bigstep.random_programs import loop_free_corpus, random_corpus
+from bigstep.spec_lib import (fac_corpus, mglist_corpus, msort_corpus,
+                              spec_fac, spec_fac_bad, spec_mglist,
+                              spec_mglist_len, spec_msort, spec_msort_nosort)
+
+LANGS = ("while", "extwhile", "fun")
+
+
+# ---------------------------------------------------------------------------
+# The recursive reference walkers
+# ---------------------------------------------------------------------------
+
+def ref_derive(plugin, gamma, depth, visit=None, memo=None):
+    memo = {} if memo is None else memo
+    key = (gamma, depth)
+    if visit is None:
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+    else:
+        visit(gamma)
+    apps = plugin.rules(gamma)
+    if depth <= 0:
+        out = ((), bool(apps))
+        if visit is None:
+            memo[key] = out
+        return out
+
+    results: list = []
+    seen: set = set()
+    exhausted = False
+
+    def walk(app):
+        nonlocal exhausted
+        if isinstance(app, Conclude):
+            if app.result not in seen:
+                seen.add(app.result)
+                results.append(app.result)
+            return
+        sub, ex = ref_derive(plugin, app.premise, depth - 1, visit, memo)
+        exhausted = exhausted or ex
+        for r in sub:
+            cont = app.rest(r)
+            if cont is not None:
+                walk(cont)
+
+    for app in apps:
+        walk(app)
+    out = (tuple(results), exhausted)
+    if visit is None:
+        memo[key] = out
+    return out
+
+
+def ref_derive_one(plugin, gamma, depth):
+    def go(g, depth):
+        if depth <= 0:
+            return None
+        for app in plugin.rules(g):
+            r = walk(app, depth)
+            if r is not None:
+                return r
+        return None
+
+    def walk(app, depth):
+        if isinstance(app, Conclude):
+            return app.result
+        sub = go(app.premise, depth - 1)
+        if sub is None:
+            return None
+        cont = app.rest(sub)
+        if cont is None:
+            return None
+        return walk(cont, depth)
+
+    return go(gamma, depth)
+
+
+def ref_infer(plugin, spec, param, gamma, budget, depth, extra):
+    apps = plugin.rules(gamma)
+    if depth <= 0:
+        return {}, bool(apps)
+
+    out: dict = {}
+    exhausted = False
+
+    def candidates(premise):
+        nonlocal exhausted
+        sset = spec.at(param, premise)
+        if isinstance(sset, Constrained):
+            cands, seen = [], set()
+            for c in sset.sample(budget):
+                if c not in seen and sset.contains(c):
+                    seen.add(c)
+                    cands.append((c, "sampled", None))
+            if extra is not None:
+                for c in extra(premise):
+                    if c not in seen and sset.contains(c):
+                        seen.add(c)
+                        cands.append((c, "sampled", None))
+            return cands
+        sub, ex = ref_infer(plugin, spec, param, premise, budget, depth - 1,
+                            extra)
+        exhausted = exhausted or ex
+        return [(r, "inferred", t) for r, t in sub.items()]
+
+    def walk(app, steps, idx):
+        if isinstance(app, Conclude):
+            if app.result not in out:
+                out[app.result] = InferTrace(gamma, app.result, idx,
+                                             tuple(steps))
+            return
+        for r, via, sub in candidates(app.premise):
+            cont = app.rest(r)
+            if cont is not None:
+                walk(cont, steps + [PremiseStep(app.premise, r, via, sub)],
+                     idx)
+
+    for i, app in enumerate(apps):
+        walk(app, [], i)
+    return out, exhausted
+
+
+# ---------------------------------------------------------------------------
+# Call logging
+# ---------------------------------------------------------------------------
+
+def logged(plugin, log):
+    """A fresh plugin object (so a fresh memo) that logs rules and rest."""
+
+    def wrap(app):
+        if isinstance(app, Conclude):
+            return app
+        rest = app.rest
+
+        def logged_rest(r):
+            log.append(("rest", app.premise, r))
+            out = rest(r)
+            return None if out is None else wrap(out)
+
+        return replace(app, rest=logged_rest)
+
+    def rules(gamma):
+        log.append(("rules", gamma))
+        return [wrap(a) for a in plugin.rules(gamma)]
+
+    return replace(plugin, rules=rules)
+
+
+def logged_spec(spec, log):
+    def at(param, gamma):
+        log.append(("at", gamma))
+        sset = spec.at(param, gamma)
+        if not isinstance(sset, Constrained):
+            return sset
+
+        def contains(r):
+            log.append(("contains", r))
+            return sset.contains(r)
+
+        def sample(b):
+            log.append(("sample", gamma))
+            return sset.sample(b)
+
+        return Constrained(contains, sample, sset.describe)
+
+    return replace(spec, at=at)
+
+
+def logged_extra(extra, log):
+    if extra is None:
+        return None
+
+    def wrapped(gamma):
+        log.append(("extra", gamma))
+        return extra(gamma)
+
+    return wrapped
+
+
+def same_derivations(plugin, gamma, budget):
+    new_log, ref_log = [], []
+    new = derive_all(logged(plugin, new_log), gamma, budget)
+    ref = ref_derive(logged(plugin, ref_log), gamma, budget.max_depth)
+    assert new == ref
+    assert new_log == ref_log
+
+    new_log, ref_log = [], []
+    new_visits, ref_visits = [], []
+    derive_all(logged(plugin, new_log), gamma, budget, new_visits.append)
+    ref_derive(logged(plugin, ref_log), gamma, budget.max_depth,
+               ref_visits.append)
+    assert new_visits == ref_visits
+    assert new_log == ref_log
+
+    new_log, ref_log = [], []
+    one = derive_one(logged(plugin, new_log), gamma, budget)
+    assert one == ref_derive_one(logged(plugin, ref_log), gamma,
+                                 budget.max_depth)
+    assert new_log == ref_log
+
+
+def same_inference(plugin, spec, param, gamma, budget, extra=None):
+    new_log, ref_log = [], []
+    new_traced, new_ex = infer_results_traced(
+        logged(plugin, new_log), logged_spec(spec, new_log), param, gamma,
+        budget, logged_extra(extra, new_log))
+    ref_traced, ref_ex = ref_infer(
+        logged(plugin, ref_log), logged_spec(spec, ref_log), param, gamma,
+        budget, budget.max_depth, logged_extra(extra, ref_log))
+    assert list(new_traced.items()) == list(ref_traced.items())
+    assert new_ex == ref_ex
+    assert new_log == ref_log
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LANGS), st.integers(0, 10_000), st.booleans(),
+       st.integers(0, 24))
+def test_engine_matches_recursive_walkers_on_random_programs(
+        lang, seed, loop_free, depth):
+    plugin = PLUGINS[lang]
+    corpus = (loop_free_corpus if loop_free else random_corpus)(lang, 3, seed)
+    budget = SampleBudget(max_depth=depth, max_samples=4, seed=0)
+    for gamma in corpus:
+        same_derivations(plugin, gamma, budget)
+        same_inference(plugin, trivial_spec(), None, gamma, budget)
+
+
+def choice_rules(n):
+    """A nondeterministic toy language on integers: several rule instances
+    per configuration, several results per premise, duplicate results, and
+    side conditions that rule instances out."""
+    if n <= 0:
+        return [Conclude(0), Conclude(1)] if n == 0 else []
+    return [
+        Need(n - 1, lambda r: Conclude(r + 1)),
+        Need(n - 1, lambda r: Conclude(2 * r)),
+        Need(n - 2, lambda r: None if r % 2 else Need(
+            n - 1, lambda q, _r=r: Conclude(_r + q))),
+    ]
+
+
+CHOICE = LanguagePlugin("choice", choice_rules, int, int, str)
+
+
+def spec_choice_odd_sampled():
+    """Odd configurations are constrained to their derivable results, with
+    a sampler that also offers non-members (dropped) and duplicates."""
+
+    def at(param, n):
+        if n % 2 and n > 0:
+            members = set(ref_derive(CHOICE, n, 2 * n + 2)[0])
+            return Constrained(lambda r: r in members,
+                               lambda b: [-1] + sorted(members) * 2,
+                               "derivable results")
+        return UNIVERSE
+
+    return Specification((None,), at)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-1, 5), st.integers(0, 7))
+def test_engine_matches_recursive_walkers_on_nondeterministic_rules(n, depth):
+    budget = SampleBudget(max_depth=depth, max_samples=4, seed=0)
+    same_derivations(CHOICE, n, budget)
+    same_inference(CHOICE, trivial_spec(), None, n, budget)
+    same_inference(CHOICE, spec_choice_odd_sampled(), None, n, budget)
+    same_inference(CHOICE, spec_choice_odd_sampled(), None, n, budget,
+                   lambda m: ref_derive(CHOICE, m, depth)[0][::-1])
+
+
+def spec_loops_unsampled():
+    """Loop entries constrained to any result, with an empty sampler: every
+    loop result inferred comes from the extra sampler."""
+
+    def at(param, gamma):
+        if isinstance(gamma.stmt, While):
+            return Constrained(lambda r: True, lambda b: [], "any result")
+        return UNIVERSE
+
+    return Specification((None,), at)
+
+
+def _spec_cases():
+    yield "while", spec_fac, fac_corpus(range(1, 5)), 64
+    yield "while", spec_loops_unsampled, fac_corpus(range(1, 5)), 64
+    yield "while", spec_fac_bad, fac_corpus(range(1, 5)), 64
+    yield "extwhile", spec_msort, msort_corpus(2, 0), 512
+    yield "extwhile", spec_msort_nosort, msort_corpus(2, 1), 512
+    yield "fun", spec_mglist, mglist_corpus(2, 0, max_len=3), 512
+    yield "fun", spec_mglist_len, mglist_corpus(2, 1, max_len=3), 512
+
+
+def test_engine_matches_recursive_walkers_on_bundled_specs():
+    for lang, factory, corpus, depth in _spec_cases():
+        plugin, spec = PLUGINS[lang], factory()
+        budget = SampleBudget(max_depth=depth, max_samples=8, seed=0)
+
+        def extra(g):
+            return ref_derive(plugin, g, depth)[0]
+
+        for gamma in corpus:
+            same_derivations(plugin, gamma, budget)
+            for param in spec.param_domain[:3]:
+                same_inference(plugin, spec, param, gamma, budget)
+                same_inference(plugin, spec, param, gamma, budget, extra)

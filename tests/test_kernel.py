@@ -1,12 +1,17 @@
 """Engine-level properties: inference vs derivation, determinism, trace
 replay, the most-informative specification, and refinement."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 
-from bigstep import PLUGINS
-from bigstep.kernel import (BUDGET_EXHAUSTED, Constrained, FAIL, PASS,
-                            SampleBudget, Specification, check_valid,
-                            check_verif, derive_all, derive_one,
+from bigstep import PLUGINS, kernel
+from bigstep.kernel import (BUDGET_EXHAUSTED, Conclude, Constrained, FAIL,
+                            PASS, PRECONDITION_FAILED, SampleBudget,
+                            Specification, check_soundness_crosscheck,
+                            check_valid, check_verif, derive_all, derive_one,
                             infer_results, infer_results_traced, replay_trace,
                             seeded_rng, spec_refines, star_spec, trivial_spec)
 from bigstep.lang_while import PLUGIN as WHILE, WhileConfig, WhileState, \
@@ -60,6 +65,24 @@ def test_deeper_budget_never_loses_results():
         small, _ = derive_all(WHILE, g, shallow)
         big, _ = derive_all(WHILE, g, B)
         assert set(small) <= set(big)
+
+
+def test_plugins_sharing_a_name_never_share_memoized_results():
+    # Same name as the bundled plugin, different rules: every assignment
+    # concludes with the state unchanged.
+    def frozen_rules(gamma):
+        if type(gamma.stmt).__name__ == "Assign":
+            return [Conclude(gamma.state)]
+        return WHILE.rules(gamma)
+
+    frozen = replace(WHILE, rules=frozen_rules)
+    assert frozen.name == WHILE.name
+    g = wcfg("x := 1 ; y := x + 1")
+    real, _ = derive_all(WHILE, g, B)
+    other, _ = derive_all(frozen, g, B)
+    assert real == (WhileState.of({"x": 1, "y": 2}),)
+    assert other == (WhileState.of({}),)
+    assert derive_all(WHILE, g, B)[0] == real
 
 
 def test_budget_rejects_negative_fields():
@@ -177,6 +200,52 @@ def test_check_valid_statuses():
                        shallow).status == BUDGET_EXHAUSTED
 
 
+def _digest(report):
+    doc = json.dumps(report.to_dict(WHILE), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()[:16]
+
+
+def test_crosscheck_harvests_the_reachable_set_once(monkeypatch):
+    harvests = []
+    reachable = kernel._reachable
+
+    def counted(*args):
+        harvests.append(args)
+        return reachable(*args)
+
+    monkeypatch.setattr(kernel, "_reachable", counted)
+    budget = SampleBudget(64, 16, 0)
+    corpus = fac_corpus(range(1, 5))
+    good = check_soundness_crosscheck(WHILE, spec_fac(), corpus, budget)
+    assert len(harvests) == 1
+    bad = check_soundness_crosscheck(WHILE, spec_fac_bad(), corpus, budget)
+    assert len(harvests) == 2
+    # The reports of the version that harvested twice.
+    assert good.status == PASS
+    assert good.stats == {"configs_checked": 17, "results_inferred": 12,
+                          "depth_hit": False}
+    assert _digest(good) == "fca9d15e8fa609c5"
+    assert bad.status == PRECONDITION_FAILED
+    assert bad.stats == {"configs_checked": 17, "results_inferred": 25,
+                         "depth_hit": False}
+    assert _digest(bad) == "eda24705d0b0596e"
+
+
+def test_report_prints_each_node_once():
+    printed = []
+
+    def pretty(node):
+        printed.append(node)
+        return WHILE.pretty(node)
+
+    rep = check_verif(WHILE, spec_fac_bad(), fac_corpus(range(1, 5)),
+                      SampleBudget(64, 16, 0))
+    assert rep.status == FAIL
+    doc = rep.to_dict(replace(WHILE, pretty=pretty))
+    assert len(printed) == len(set(printed)) > 0
+    assert doc == rep.to_dict(WHILE)
+
+
 def test_check_reports_are_deterministic():
     budget = SampleBudget(64, 16, 3)
     corpus = fac_corpus(range(1, 5))
@@ -245,3 +314,46 @@ def test_seeded_rng_is_stable_and_key_sensitive():
 def test_random_corpora_are_reproducible():
     assert random_corpus("extwhile", 10, 5) == random_corpus("extwhile", 10, 5)
     assert loop_free_corpus("fun", 10, 5) == loop_free_corpus("fun", 10, 5)
+
+
+# ---------------------------------------------------------------------------
+# Deep derivations: the depth budget, not the Python stack, bounds them
+# ---------------------------------------------------------------------------
+
+COUNTDOWN = parse_stmt("while 0 < x do x := x - 1")
+
+
+def test_derive_all_runs_a_hundred_thousand_iterations():
+    budget = SampleBudget(max_depth=200_010, max_samples=1, seed=0)
+    g = WhileConfig(COUNTDOWN, WhileState.of({"x": 100_000}))
+    try:
+        assert derive_all(WHILE, g, budget) == ((WhileState.of({}),), False)
+    finally:
+        kernel._DERIVE_CACHE.clear()
+
+
+def test_derive_one_and_inference_run_forty_thousand_iterations():
+    budget = SampleBudget(max_depth=80_010, max_samples=1, seed=0)
+    g = WhileConfig(COUNTDOWN, WhileState.of({"x": 40_000}))
+    assert derive_one(WHILE, g, budget) == WhileState.of({})
+    assert infer_results(WHILE, trivial_spec(), None, g, budget) == (
+        (WhileState.of({}),), False)
+
+
+def test_depth_budget_cuts_a_long_loop():
+    budget = SampleBudget(max_depth=5_000, max_samples=1, seed=0)
+    g = WhileConfig(COUNTDOWN, WhileState.of({"x": 10_000}))
+    assert derive_all(WHILE, g, budget) == ((), True)
+    assert derive_one(WHILE, g, budget) is None
+    assert infer_results(WHILE, trivial_spec(), None, g, budget) == ((), True)
+
+
+def test_thousand_element_fun_list_derives():
+    # Parsing and building this term recurse on its nesting depth: this is
+    # what the raised recursion limit is still for.
+    fun = PLUGINS["fun"]
+    g = fun.parse_config(" :: ".join(["1"] * 1000 + ["nil"]))
+    budget = SampleBudget(max_depth=2000, max_samples=1, seed=0)
+    (result,), exhausted = derive_all(fun, g, budget)
+    assert not exhausted
+    assert fun.pretty(result).count("1 ::") == 1000
