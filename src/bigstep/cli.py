@@ -20,19 +20,16 @@ import json
 import os
 import sys
 
-from . import random_programs, spec_lib
+# The package's plugin registry.  `_plugin` looks `PLUGINS` up in this
+# module at run time, so a caller may rebind `cli.PLUGINS` to wrap plugins.
+from . import PLUGINS, random_programs, spec_lib
 from .kernel import (BUDGET_EXHAUSTED, CheckReport, FAIL, PASS,
                      PRECONDITION_FAILED, SampleBudget,
                      Specification, check_soundness_crosscheck, check_valid,
                      check_verif, derive_all, star_spec, trivial_spec)
-from .lang_extwhile import PLUGIN as _EXTWHILE
-from .lang_fun import PLUGIN as _FUN
-from .lang_while import PLUGIN as _WHILE
 from .syntax import ParseError
 
 SCHEMA_VERSION = "1"
-
-PLUGINS = {"while": _WHILE, "extwhile": _EXTWHILE, "fun": _FUN}
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

@@ -9,6 +9,7 @@ order of results and counterexamples.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import sys
@@ -17,10 +18,13 @@ from typing import Any, Callable, Optional
 
 # Derivations are walked on an explicit stack, so their height is bounded by
 # the depth budget alone.  Terms are still walked recursively on their
-# nesting depth (the parsers, lang_fun's occurrence sets and substitution,
-# printers, the first hash and equality of a node, trace rendering and
-# replay), and a long literal list such as a 1,000-element `fun` list needs
-# more headroom than the default stack limit.
+# nesting depth (the parsers, lang_fun's occurrence sets, canonical-form
+# check and substitution, printers, trace rendering and replay), and a long
+# literal list such as a 20,000-element `fun` list needs more headroom than
+# the default stack limit.  The first hash of a node and the comparison of
+# two distinct nodes recurse through C frames instead, and the C stack runs
+# out long before this limit: the plugins' parsers hash their output
+# bottom-up (`syntax.warm_hash`), so hashing a parsed term stays shallow.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 Config = Any
@@ -156,6 +160,31 @@ _DERIVE_CACHE: dict[tuple, tuple[tuple, bool]] = {}
 _OPEN = object()  # no value yet: the configuration needs a frame
 
 
+def _gc_paused(walk):
+    """`walk` with the cyclic garbage collector paused while it runs.
+
+    A walk keeps every memo entry and every suspended frame alive until it
+    returns, so each full collection during a long derivation re-traverses
+    a heap that only grows, and the walk's time grows faster than its
+    length.  The pause defers no garbage: walks create no reference cycles
+    (reference counting frees what they drop), and cycles a plugin creates
+    are collected once the walk returns.  A caller, or an outer walk, that
+    already turned the collector off keeps it off.
+    """
+
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return walk(*args, **kwargs)
+        gc.disable()
+        try:
+            return walk(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
+@_gc_paused
 def _walk(plugin, gamma, depth, policy, visit=None, spec=None, param=None,
           budget=None, extra=None):
     """Walk the derivations of `gamma` within `depth`, on an explicit stack.

@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import Node, ParseError, Tokens, hash_once, sorted_put
+from .syntax import (Node, ParseError, Tokens, hash_once, sorted_put,
+                     warm_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +617,7 @@ def parse_state(src: str) -> ExtState:
             t.next()
         t.expect_end()
     nextloc = base if explicit_nextloc is None else explicit_nextloc
-    return ExtState.of(names, heap, nextloc)
+    return warm_hash(ExtState.of(names, heap, nextloc))
 
 
 def parse_config(src: str) -> ExtConfig:
@@ -630,8 +631,8 @@ def parse_config(src: str) -> ExtConfig:
         funcs, prog, state = parts
     else:
         raise ParseError("too many '||' sections")
-    return ExtConfig(parse_stmt(prog), parse_state(state),
-                     parse_functions(funcs))
+    return warm_hash(ExtConfig(parse_stmt(prog), parse_state(state),
+                               parse_functions(funcs)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import Node, ParseError, Tokens, hash_once, set_hash
+from .syntax import (Node, ParseError, Tokens, hash_once, set_hash,
+                     warm_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -31,16 +32,19 @@ from .syntax import Node, ParseError, Tokens, hash_once, set_hash
 # ---------------------------------------------------------------------------
 
 class FNode(Node):
-    """A `Node` that also caches its occurrence set (see `occurrences`)."""
+    """A `Node` that also caches its occurrence set (see `occurrences`) and
+    whether it is a canonical form (see `is_canonical`)."""
 
-    __slots__ = ("_occ",)
+    __slots__ = ("_occ", "_canon")
 
     def __post_init__(self):
         set_hash(self, None)
         _set_occ(self, None)
+        _set_canon(self, None)
 
 
 _set_occ = FNode._occ.__set__
+_set_canon = FNode._canon.__set__
 
 
 @hash_once
@@ -125,17 +129,23 @@ FExpr = (FNum | FBool | FBin | FNot | FAnd | FIf | FNil | FCons | FListCase
 
 
 def is_canonical(e: FExpr) -> bool:
-    """Canonical forms: integers, booleans, lambdas, nil, cons of canonicals."""
-    match e:
-        case FNum(_) | FBool(_) | FLam(_, _) | FNil():
-            return True
-        case FCons(h, t):
-            return is_canonical(h) and is_canonical(t)
-    return False
+    """Canonical forms: integers, booleans, lambdas, nil, cons of canonicals.
 
-
-def as_canonical(e: FExpr) -> Optional[FExpr]:
-    return e if is_canonical(e) else None
+    The answer is cached on the node: every rule enumeration asks it of
+    the whole configuration, and a list is asked once per element it is
+    consumed by, so an uncached check makes list recursion quadratic.
+    """
+    canon = e._canon
+    if canon is None:
+        match e:
+            case FNum(_) | FBool(_) | FLam(_, _) | FNil():
+                canon = True
+            case FCons(h, t):
+                canon = is_canonical(h) and is_canonical(t)
+            case _:
+                canon = False
+        _set_canon(e, canon)
+    return canon
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +463,7 @@ def parse_expr(src: str) -> FExpr:
     t = _toks(src)
     node = _parse_expr(t)
     t.expect_end()
-    return node
+    return warm_hash(node)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ variables a program has touched.
 from __future__ import annotations
 
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import Node, ParseError, Tokens, hash_once, sorted_put
+from .syntax import (Node, ParseError, Tokens, hash_once, sorted_put,
+                     warm_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ def parse_state(src: str) -> WhileState:
             break
         t.next()
     t.expect_end()
-    return WhileState.of(d)
+    return warm_hash(WhileState.of(d))
 
 
 def parse_config(src: str) -> WhileConfig:
@@ -332,7 +333,7 @@ def parse_config(src: str) -> WhileConfig:
         prog, state = src.split("||", 1)
     else:
         prog, state = src, ""
-    return WhileConfig(parse_stmt(prog), parse_state(state))
+    return warm_hash(WhileConfig(parse_stmt(prog), parse_state(state)))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,32 @@ def hash_once(cls):
     return cls
 
 
+def warm_hash(root):
+    """Hash every node under `root` before its parent, and return `root`.
+
+    A node's first hash hashes its fields, and their first hashes recurse
+    through C frames on the term's nesting depth: a deep enough term (a
+    20,000-element `fun` list) overflows the C stack and kills the
+    interpreter, which no recursion limit catches.  Hashing children first,
+    from an explicit stack, keeps every first hash one level deep.  Tuples
+    (states, parameter lists) are walked into; they cache no hash.  Parsed
+    terms are trees, so no node is reached twice.
+    """
+    stack = [root]
+    nodes = []  # pre-order: every node before its descendants
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, Node):
+            if obj._hash is None:
+                nodes.append(obj)
+                stack.extend([getattr(obj, f) for f in obj.__match_args__])
+        elif isinstance(obj, tuple):
+            stack.extend(obj)
+    for node in reversed(nodes):
+        hash(node)
+    return root
+
+
 def sorted_put(pairs: tuple, key, value, drop_zero: bool = False) -> tuple:
     """`pairs` (sorted by key, keys unique) with `key` bound to `value`;
     with `drop_zero`, a zero value removes the key instead."""

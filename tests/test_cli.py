@@ -19,6 +19,10 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def test_cli_reads_the_package_plugin_registry():
+    assert bigstep.PLUGINS is bigstep.cli.PLUGINS
+
+
 def test_run_prints_result_and_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "run", "--lang", "while",
                            "--config", "x := 2 * 3", "--depth", "16")

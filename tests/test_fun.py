@@ -1,15 +1,19 @@
 """Functional language: one test per semantic rule, one test per defining
 equation of substitution, canonical forms, and list-merge evaluation."""
 
+import copy
+import pickle
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from bigstep.kernel import Conclude, Need, SampleBudget, derive_all, derive_one
 from bigstep.lang_fun import (FAnd, FApp, FBin, FBool, FCons, FIf, FLam,
-                              FLetRec, FListCase, FNil, FNot, FNum, FVar,
-                              PLUGIN, fun_rules, is_canonical, occurrences,
-                              parse_expr, print_expr, subst)
+                              FLetRec, FListCase, FNil, FNode, FNot, FNum,
+                              FVar, PLUGIN, fun_rules, is_canonical,
+                              occurrences, parse_expr, print_expr, subst)
+from bigstep.random_programs import random_corpus
 from bigstep.spec_lib import cfm_of_list, list_of_lstcfm, merge_expr
 
 B = SampleBudget(max_depth=512, max_samples=4, seed=0)
@@ -293,6 +297,44 @@ def test_canonical_recognizer():
     assert is_canonical(FLam("x", FApp(FVar("x"), FVar("x"))))
     assert not is_canonical(FCons(FBin("+", FNum(1), FNum(1)), FNil()))
     assert not is_canonical(FVar("x"))
+
+
+def reference_is_canonical(e):
+    """The canonical-form check recomputed on every call, as before its
+    answer was cached on nodes."""
+    match e:
+        case FNum(_) | FBool(_) | FLam(_, _) | FNil():
+            return True
+        case FCons(h, t):
+            return reference_is_canonical(h) and reference_is_canonical(t)
+    return False
+
+
+def subterms(e):
+    """`e` and every node below it, each before its children."""
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(v for v in (getattr(node, f) for f in node.__match_args__)
+                     if isinstance(v, FNode))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), _names, _fexpr)
+def test_cached_canonical_check_agrees_with_reference(seed, x, c):
+    terms = random_corpus("fun", 3, seed) + [c, FCons(c, cfm_of_list([1]))]
+    terms += [subst(e, x, c) for e in terms]
+    for e in terms:
+        # Cold root first, then every subterm warm; copies start cold and
+        # are asked children first.
+        assert is_canonical(e) == reference_is_canonical(e)
+        for sub in subterms(e):
+            assert is_canonical(sub) == reference_is_canonical(sub)
+        for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            for sub in reversed(subterms(twin)):
+                assert is_canonical(sub) == reference_is_canonical(sub)
 
 
 @pytest.mark.parametrize("values", [[], [1], [3, 1, 2], [-3] * 6])

@@ -1,13 +1,18 @@
 """Engine-level properties: inference vs derivation, determinism, trace
 replay, the most-informative specification, and refinement."""
 
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
-from bigstep import PLUGINS, kernel
+import bigstep
+from bigstep import PLUGINS, kernel, spec_lib
 from bigstep.kernel import (BUDGET_EXHAUSTED, Conclude, Constrained, FAIL,
                             PASS, PRECONDITION_FAILED, SampleBudget,
                             Specification, check_soundness_crosscheck,
@@ -17,7 +22,8 @@ from bigstep.kernel import (BUDGET_EXHAUSTED, Conclude, Constrained, FAIL,
 from bigstep.lang_while import PLUGIN as WHILE, WhileConfig, WhileState, \
     parse_stmt
 from bigstep.random_programs import loop_free_corpus, random_corpus
-from bigstep.spec_lib import fac_corpus, spec_fac, spec_fac_bad
+from bigstep.spec_lib import (fac_corpus, mglist_corpus, msort_corpus,
+                              spec_fac, spec_fac_bad)
 
 B = SampleBudget(max_depth=48, max_samples=8, seed=0)
 
@@ -357,3 +363,152 @@ def test_thousand_element_fun_list_derives():
     (result,), exhausted = derive_all(fun, g, budget)
     assert not exhausted
     assert fun.pretty(result).count("1 ::") == 1000
+
+
+_LEN_OF_LIST = r"""
+import sys
+from bigstep import PLUGINS, SampleBudget, derive_all
+fun = PLUGINS["fun"]
+n = int(sys.argv[1])
+g = fun.parse_config(r"letrec len = \l. listcase l of (0, \h. \t. 1 + len t)"
+                     " in len (" + " :: ".join(["1"] * n) + " :: nil)")
+hash(g)
+budget = SampleBudget(max_depth=10 * n + 10, max_samples=1, seed=0)
+(result,), exhausted = derive_all(fun, g, budget)
+assert not exhausted
+print(fun.pretty(result))
+"""
+
+
+def test_twenty_thousand_element_fun_list_hashes_and_derives():
+    # A first hash that recurses on the term's depth goes through C frames
+    # and overflows the C stack (SIGSEGV, exit 139), so this runs in a child.
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(
+        bigstep.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _LEN_OF_LIST, "20000"],
+                          env=dict(os.environ, PYTHONPATH=src_dir),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "20000"
+
+
+# ---------------------------------------------------------------------------
+# Walks pause the cyclic garbage collector and restore the caller's state
+# ---------------------------------------------------------------------------
+
+def _gc_probe(log):
+    """The while plugin, logging whether the collector runs at each call."""
+
+    def rules(gamma):
+        log.append(gc.isenabled())
+        return WHILE.rules(gamma)
+
+    return replace(WHILE, rules=rules)
+
+
+def test_walk_pauses_the_gc_and_enables_it_again_on_return():
+    assert gc.isenabled()
+    log: list = []
+    plugin = _gc_probe(log)
+    g = wcfg("x := 1 ; y := x + 1")
+    assert derive_all(plugin, g, B)[0] == (WhileState.of({"x": 1, "y": 2}),)
+    assert derive_one(plugin, g, B) == WhileState.of({"x": 1, "y": 2})
+    assert infer_results(plugin, trivial_spec(), None, g, B)[0] == (
+        WhileState.of({"x": 1, "y": 2}),)
+    assert log and not any(log)
+    assert gc.isenabled()
+
+
+def test_walk_enables_the_gc_again_after_a_plugin_raises():
+    def rules(gamma):
+        raise RuntimeError("plugin bug")
+
+    with pytest.raises(RuntimeError, match="plugin bug"):
+        derive_all(replace(WHILE, rules=rules), wcfg("skip"), B)
+    assert gc.isenabled()
+
+
+def test_nested_walk_leaves_the_outer_pause_alone():
+    # star_spec's `at` derives, inside the inference walk: the inner walk
+    # must neither re-enable the collector under the outer one nor leave
+    # it off afterwards.
+    log: list = []
+    plugin = _gc_probe(log)
+    star = star_spec(WHILE, B)
+    after_inner: list = []
+
+    def at(param, gamma):
+        sset = star.at(param, gamma)
+        after_inner.append(gc.isenabled())
+        return sset
+
+    g = wcfg("x := 1 ; y := x + 1")
+    results, _ = infer_results(plugin, Specification((None,), at), None, g, B)
+    assert results == (WhileState.of({"x": 1, "y": 2}),)
+    assert after_inner and not any(after_inner)
+    assert log and not any(log)
+    assert gc.isenabled()
+
+
+def test_walk_keeps_the_gc_off_when_the_caller_turned_it_off():
+    gc.disable()
+    try:
+        derive_all(WHILE, wcfg("x := 1 ; y := x + 1"), B)
+        check_verif(WHILE, spec_fac(), fac_corpus(range(1, 4)), B)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_no_collection_runs_during_a_long_derivation():
+    # Each collection is stamped with the number of `rules` calls made so
+    # far; the walk has ended only once the last one has been made.
+    calls = [0]
+    stamps: list = []
+
+    def rules(gamma):
+        calls[0] += 1
+        return WHILE.rules(gamma)
+
+    def hook(phase, info):
+        if phase == "start":
+            stamps.append(calls[0])
+
+    budget = SampleBudget(max_depth=80_010, max_samples=1, seed=0)
+    g = WhileConfig(COUNTDOWN, WhileState.of({"x": 40_000}))
+    gc.callbacks.append(hook)
+    try:
+        results = derive_all(replace(WHILE, rules=rules), g, budget)
+    finally:
+        gc.callbacks.remove(hook)
+        kernel._DERIVE_CACHE.clear()
+    assert results == ((WhileState.of({}),), False)
+    assert [n for n in stamps if 0 < n < calls[0]] == []
+
+
+@pytest.mark.parametrize("spec_name,corpus", [
+    ("fac", lambda: fac_corpus(range(1, 5))),
+    ("msort", lambda: msort_corpus(4, 0)),
+    ("mglist", lambda: mglist_corpus(4, 0)),
+])
+def test_walks_leave_no_cyclic_garbage(spec_name, corpus):
+    # What makes the pause safe: there is nothing for the collector to
+    # find after derivation, checking and the crosscheck.
+    lang, factory = spec_lib.SPECS[spec_name]
+    plugin = PLUGINS[lang]
+    budget = SampleBudget(max_depth=512, max_samples=4, seed=0)
+    configs = corpus() + random_corpus(lang, 10, 3)
+    loop_free = loop_free_corpus(lang, 10, 1)
+    gc.collect()
+    for g in configs:
+        derive_all(plugin, g, budget)
+        derive_one(plugin, g, budget)
+    assert gc.collect() == 0
+    assert check_verif(plugin, factory(), configs[:4], budget).status == PASS
+    assert gc.collect() == 0
+    assert check_soundness_crosscheck(plugin, factory(), configs[:4],
+                                      budget).status == PASS
+    assert gc.collect() == 0
+    assert check_verif(plugin, star_spec(plugin, B), loop_free,
+                       B).status == PASS
+    assert gc.collect() == 0
