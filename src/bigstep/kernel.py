@@ -154,8 +154,13 @@ def seeded_rng(seed: int, *key: object) -> random.Random:
 # The derivation engine
 # ---------------------------------------------------------------------------
 
-# Derivation memo: (plugin, config, depth) -> (results, exhausted).
-_DERIVE_CACHE: dict[tuple, tuple[tuple, bool]] = {}
+# Derivation memo: (plugin, config) -> (results, exhausted, depth), one
+# entry per configuration.  A derivation that no depth cut has height h (the
+# `depth` stored) and gives the same results, in the same order, at every
+# budget from h up, so its entry answers all of them.  An exhausted entry
+# stores the budget it was cut at and answers only that budget.  A lookup
+# the entry cannot answer derives the configuration again and overwrites it.
+_DERIVE_CACHE: dict[tuple, tuple[tuple, bool, int]] = {}
 
 _OPEN = object()  # no value yet: the configuration needs a frame
 
@@ -192,15 +197,20 @@ def _walk(plugin, gamma, depth, policy, visit=None, spec=None, param=None,
     The premise policy picks what a premise contributes and what a frame
     returns:
 
-    - "all": every result of the premise; returns (results, exhausted).
-      Memoized unless `visit` is given, which is then called on every
-      configuration opened, in order.
+    - "all": every result of the premise; returns (results, exhausted,
+      depth), `depth` being the derivation's height if it is not exhausted
+      and the budget it was cut at if it is.  Memoized in `_DERIVE_CACHE`
+      unless `visit` is given, which is then called on every configuration
+      opened, in order.  Heights: a configuration with no rule instance
+      has height 0, an instance with no premise counts 1, and a frame
+      1 + the largest height of the premises it opened (memo hits at their
+      stored height).
     - "first": the premise's first result only; returns the first result
       of `gamma`, or None.  Depth 0 is cut without enumerating rules.
     - "spec": candidates drawn from `spec.at(param, premise)` when that is
       Constrained (sampled plus `extra(premise)`, membership-filtered),
       else every inferred result; returns ({result: InferTrace},
-      exhausted).
+      exhausted, height).
 
     Work is done in exactly the order of a recursive walk that tries rule
     instances in order, derives a premise fully before feeding its results
@@ -214,15 +224,17 @@ def _walk(plugin, gamma, depth, policy, visit=None, spec=None, param=None,
     # The frame being worked on lives in locals: `top` is its (gamma,
     # depth, memo key); its rule instances `apps` start in order, `nxt`
     # indexing the next one; work they start goes on `agenda`, a LIFO
-    # drained before the next instance starts.  Agenda items are
-    # continuations (app, steps, rule index) and resume points (need,
-    # steps, rule index, candidates, next position) that feed a premise's
-    # next candidate result to `need.rest`; `steps` are the PremiseSteps
-    # taken so far (spec policy only).  `out` maps each result to its
-    # InferTrace (spec) or None (all), in first-found order; the first
-    # policy keeps its one result there instead.  `waiting` is the (need,
-    # steps, rule index) of the premise being derived below.  Suspended
-    # frames are saved on `stack`.
+    # drained before the next instance starts.  `height` is the frame's
+    # height so far; once a premise is cut it is the frame's depth, which
+    # is what an exhausted entry stores.  Agenda items are continuations
+    # (app, steps, rule index) and resume points (need, steps, rule index,
+    # candidates, next position) that feed a premise's next candidate
+    # result to `need.rest`; `steps` are the PremiseSteps taken so far
+    # (spec policy only).  `out` maps each result to its InferTrace (spec)
+    # or None (all), in first-found order; the first policy keeps its one
+    # result there instead.  `waiting` is the (need, steps, rule index) of
+    # the premise being derived below.  Suspended frames are saved on
+    # `stack`.
     stack: list = []
     top = None
     while True:
@@ -234,20 +246,23 @@ def _walk(plugin, gamma, depth, policy, visit=None, spec=None, param=None,
             value = None
         else:
             if memo is not None:
-                key = (plugin, gamma, depth)
-                value = memo.get(key, _OPEN)
+                key = (plugin, gamma)
+                hit = memo.get(key)
+                if hit is not None and (hit[2] == depth if hit[1]
+                                        else hit[2] <= depth):
+                    value = hit
             if value is _OPEN:
                 if visit is not None:
                     visit(gamma)
                 opened = rules(gamma)
                 if depth <= 0:
-                    value = ({} if infer else (), bool(opened))
+                    value = ({} if infer else (), bool(opened), 0)
                 elif len(opened) == 1 and isinstance(opened[0], Conclude):
                     # An axiom instance needs no frame.
                     r = opened[0].result
                     value = (r if first else
-                             ({r: InferTrace(gamma, r, 0, ())}, False)
-                             if infer else ((r,), False))
+                             ({r: InferTrace(gamma, r, 0, ())}, False, 1)
+                             if infer else ((r,), False, 1))
                 if memo is not None and value is not _OPEN:
                     memo[key] = value
         if value is _OPEN:
@@ -256,9 +271,10 @@ def _walk(plugin, gamma, depth, policy, visit=None, spec=None, param=None,
                 # drops them: they hold closures, and a long loop suspends a
                 # frame per iteration.
                 stack.append((top, apps if nxt < len(apps) else (), nxt,
-                              agenda, out, exhausted, waiting))
+                              agenda, out, exhausted, height, waiting))
             top, apps, nxt, agenda = (gamma, depth, key), opened, 0, []
             out, exhausted = None if first else {}, False
+            height = 1 if opened else 0
 
         while True:
             if value is not _OPEN:
@@ -273,8 +289,10 @@ def _walk(plugin, gamma, depth, policy, visit=None, spec=None, param=None,
                             agenda.append((cont, (), waiting[2]))
                     cands = ()
                 else:
-                    sub, ex = value
+                    sub, ex, h = value
                     exhausted = exhausted or ex
+                    if h >= height:
+                        height = h + 1
                     cands = ([(r, "inferred", t) for r, t in sub.items()]
                              if infer else sub)
                 if cands:
@@ -329,13 +347,14 @@ def _walk(plugin, gamma, depth, policy, visit=None, spec=None, param=None,
             if first:
                 value = out
             elif infer:
-                value = (out, exhausted)
+                value = (out, exhausted, height)
             else:
-                value = (tuple(out), exhausted)
+                value = (tuple(out), exhausted, height)
                 if memo is not None:
                     memo[top[2]] = value
             if stack:
-                top, apps, nxt, agenda, out, exhausted, waiting = stack.pop()
+                (top, apps, nxt, agenda, out, exhausted, height,
+                 waiting) = stack.pop()
             else:
                 top = None
 
@@ -367,8 +386,13 @@ def derive_all(plugin: LanguagePlugin, gamma: Config, budget: SampleBudget,
     bound, so an empty result with exhausted=False certifies that `gamma`
     has no derivation at all.  `visit`, when given, is called on every
     configuration the enumeration touches (used for corpus harvesting).
+
+    Without `visit`, each configuration derived on the way is memoized once
+    (`_DERIVE_CACHE`): a later call at any budget from its height up, or at
+    exactly the budget that cut it, reuses the entry instead of deriving
+    the subtree again.
     """
-    return _walk(plugin, gamma, budget.max_depth, "all", visit=visit)
+    return _walk(plugin, gamma, budget.max_depth, "all", visit=visit)[:2]
 
 
 def derive_one(plugin: LanguagePlugin, gamma: Config,
@@ -429,7 +453,7 @@ def infer_results_traced(plugin, spec, param, gamma, budget,
                          extra_sampler=None):
     """Like infer_results but returns {result: InferTrace} (first trace wins)."""
     return _walk(plugin, gamma, budget.max_depth, "spec", spec=spec,
-                 param=param, budget=budget, extra=extra_sampler)
+                 param=param, budget=budget, extra=extra_sampler)[:2]
 
 
 def replay_trace(plugin: LanguagePlugin,

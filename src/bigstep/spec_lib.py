@@ -108,9 +108,18 @@ def list_of_lstcfm(c) -> Optional[list]:
 
 
 def cfm_of_list(values) -> fn.FExpr:
+    """The list canonical form of `values`.
+
+    A node's first hash recurses on its depth through C frames, and a list
+    of some thousands of elements overflows the C stack.  Every 1,000th
+    cons is hashed as it is built, its tail's hash being cached already,
+    so no first hash recurses more than 1,000 levels; short lists, the
+    common case, are built without hashing."""
     out: fn.FExpr = fn.FNil()
-    for v in reversed(values):
+    for i, v in enumerate(reversed(values), 1):
         out = fn.FCons(fn.FNum(v), out)
+        if i % 1000 == 0:
+            hash(out)
     return out
 
 

@@ -1,7 +1,9 @@
 """The explicit-stack derivation engine against the recursive walkers it
 replaced, kept here as the reference: same results in the same order, same
 `exhausted` flags, same traces, and the same plugin and spec calls in the
-same order."""
+same order.  The reference derivation memoizes with the engine's entry
+rule (one entry per configuration, answered from its height up), and a
+memo-free definition checks the answers of a memo shared across depths."""
 
 from dataclasses import replace
 
@@ -27,34 +29,48 @@ LANGS = ("while", "extwhile", "fun")
 # ---------------------------------------------------------------------------
 
 def ref_derive(plugin, gamma, depth, visit=None, memo=None):
+    """(results, exhausted) of `gamma` within `depth`.
+
+    Without `visit`, memoized with the engine's entry rule: `memo` maps a
+    configuration to (results, exhausted, depth), where `depth` is the
+    derivation's height if it is not exhausted, and the budget that cut it
+    if it is.  An entry answers every budget from its height up, or only
+    its own budget if exhausted; a lookup it cannot answer derives again
+    and overwrites it."""
     memo = {} if memo is None else memo
-    key = (gamma, depth)
+    return _ref_derive(plugin, gamma, depth, visit, memo)[:2]
+
+
+def _ref_derive(plugin, gamma, depth, visit, memo):
     if visit is None:
-        hit = memo.get(key)
-        if hit is not None:
+        hit = memo.get(gamma)
+        if hit is not None and (hit[2] == depth if hit[1]
+                                else hit[2] <= depth):
             return hit
     else:
         visit(gamma)
     apps = plugin.rules(gamma)
     if depth <= 0:
-        out = ((), bool(apps))
+        out = ((), bool(apps), 0)
         if visit is None:
-            memo[key] = out
+            memo[gamma] = out
         return out
 
     results: list = []
     seen: set = set()
     exhausted = False
+    height = 1 if apps else 0
 
     def walk(app):
-        nonlocal exhausted
+        nonlocal exhausted, height
         if isinstance(app, Conclude):
             if app.result not in seen:
                 seen.add(app.result)
                 results.append(app.result)
             return
-        sub, ex = ref_derive(plugin, app.premise, depth - 1, visit, memo)
+        sub, ex, h = _ref_derive(plugin, app.premise, depth - 1, visit, memo)
         exhausted = exhausted or ex
+        height = max(height, h + 1)
         for r in sub:
             cont = app.rest(r)
             if cont is not None:
@@ -62,10 +78,16 @@ def ref_derive(plugin, gamma, depth, visit=None, memo=None):
 
     for app in apps:
         walk(app)
-    out = (tuple(results), exhausted)
+    out = (tuple(results), exhausted, depth if exhausted else height)
     if visit is None:
-        memo[key] = out
+        memo[gamma] = out
     return out
+
+
+def plain_derive(plugin, gamma, depth):
+    """(results, exhausted) by the definition alone: the reference walked
+    with a visitor memoizes nothing."""
+    return ref_derive(plugin, gamma, depth, visit=lambda g: None)
 
 
 def ref_derive_one(plugin, gamma, depth):
@@ -216,6 +238,19 @@ def same_derivations(plugin, gamma, budget):
     assert new_log == ref_log
 
 
+def same_answers_on_a_shared_memo(plugin, gamma, depths):
+    """derive_all at each depth in turn on one memo: every answer is the
+    memo-free definition's, and the calls made are the reference's on a
+    memo of its own, shared the same way."""
+    new_log, ref_log, ref_memo = [], [], {}
+    new_plugin, ref_plugin = logged(plugin, new_log), logged(plugin, ref_log)
+    for depth in depths:
+        got = derive_all(new_plugin, gamma, SampleBudget(max_depth=depth))
+        assert got == plain_derive(plugin, gamma, depth)
+        assert got == ref_derive(ref_plugin, gamma, depth, memo=ref_memo)
+        assert new_log == ref_log
+
+
 def same_inference(plugin, spec, param, gamma, budget, extra=None):
     new_log, ref_log = [], []
     new_traced, new_ex = infer_results_traced(
@@ -287,6 +322,24 @@ def test_engine_matches_recursive_walkers_on_nondeterministic_rules(n, depth):
     same_inference(CHOICE, spec_choice_odd_sampled(), None, n, budget)
     same_inference(CHOICE, spec_choice_odd_sampled(), None, n, budget,
                    lambda m: ref_derive(CHOICE, m, depth)[0][::-1])
+
+
+DEPTH_RUNS = st.lists(st.integers(0, 24), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LANGS), st.integers(0, 10_000), DEPTH_RUNS)
+def test_shared_memo_answers_every_depth_like_the_definition(
+        lang, seed, depths):
+    for gamma in random_corpus(lang, 3, seed):
+        same_answers_on_a_shared_memo(PLUGINS[lang], gamma, depths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-1, 5), DEPTH_RUNS)
+def test_shared_memo_answers_every_depth_on_nondeterministic_rules(
+        n, depths):
+    same_answers_on_a_shared_memo(CHOICE, n, depths)
 
 
 def spec_loops_unsampled():

@@ -91,6 +91,72 @@ def test_plugins_sharing_a_name_never_share_memoized_results():
     assert derive_all(WHILE, g, B)[0] == real
 
 
+def _counted_while():
+    """A copy of the while plugin, so memo entries of its own, that counts
+    its `rules` calls."""
+    calls = [0]
+
+    def rules(gamma):
+        calls[0] += 1
+        return WHILE.rules(gamma)
+
+    return replace(WHILE, rules=rules), calls
+
+
+def _memo_entries(plugin):
+    return sum(1 for key in kernel._DERIVE_CACHE if key[0] is plugin)
+
+
+def test_memo_entry_answers_from_its_height_up():
+    # x=10 runs ten iterations and a last guard test: height 11.  One entry
+    # per configuration: 11 loop configurations and 10 assignments.
+    plugin, calls = _counted_while()
+    g = wcfg("while 0 < x do x := x - 1", {"x": 10})
+    done = ((WhileState.of({}),), False)
+
+    def at(depth):
+        return derive_all(plugin, g, SampleBudget(max_depth=depth))
+
+    assert at(22) == done
+    assert _memo_entries(plugin) == 21
+    assert at(10) == ((), True)
+    assert at(11) == done
+    assert _memo_entries(plugin) == 21
+    calls[0] = 0
+    for depth in (16, 20, 33):
+        assert at(depth) == done
+    assert calls[0] == 0
+    assert _memo_entries(plugin) == 21
+
+
+def test_exhausted_memo_entry_answers_only_its_own_budget():
+    plugin, calls = _counted_while()
+    g = wcfg("while 0 < x do x := x - 1", {"x": 10})
+    assert derive_all(plugin, g, SampleBudget(max_depth=8)) == ((), True)
+    calls[0] = 0
+    assert derive_all(plugin, g, SampleBudget(max_depth=8)) == ((), True)
+    assert calls[0] == 0
+    assert derive_all(plugin, g, SampleBudget(max_depth=7)) == ((), True)
+    assert calls[0] > 0
+    assert derive_all(plugin, g, SampleBudget(max_depth=11)) == (
+        (WhileState.of({}),), False)
+
+
+@pytest.mark.parametrize("spec_name", sorted(spec_lib.SPECS))
+def test_check_verif_leaves_the_derivation_memo_alone(spec_name):
+    # Neither the reachable-configuration harvest nor inference reads or
+    # writes the memo, so verification's memory does not grow with it.
+    lang, factory = spec_lib.SPECS[spec_name]
+    corpus = {"while": lambda: fac_corpus(range(1, 5)),
+              "extwhile": lambda: msort_corpus(3, 0),
+              "fun": lambda: mglist_corpus(3, 0)}[lang]()
+    budget = SampleBudget(max_depth=512, max_samples=4, seed=0)
+    before = len(kernel._DERIVE_CACHE)
+    report = check_verif(PLUGINS[lang], factory(), corpus, budget)
+    assert report.stats["configs_checked"] > 0
+    assert len(kernel._DERIVE_CACHE) == before
+
+
 def test_budget_rejects_negative_fields():
     with pytest.raises(ValueError):
         SampleBudget(max_depth=-1)

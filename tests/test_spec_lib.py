@@ -1,10 +1,15 @@
 """Bundled specifications: helper algebra, sampler validity, entry guards,
 and end-to-end verification of the shipped specs and their broken variants."""
 
+import os
+import subprocess
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import bigstep
 from bigstep.kernel import (Constrained, FAIL, PASS, SampleBudget, UNIVERSE,
                             check_valid, check_verif, derive_one)
 from bigstep.lang_extwhile import ExtState, PLUGIN as EXTWHILE
@@ -53,6 +58,28 @@ def test_list_canonical_form_conversions_reject_non_lists():
     assert list_of_lstcfm(FCons(FVar("x"), FNil())) is None
     assert list_of_lstcfm(FNum(1)) is None
     assert list_of_lstcfm(cfm_of_list([2, 1])) == [2, 1]
+
+
+_DEEP_LIST = r"""
+from bigstep import PLUGINS, SampleBudget, derive_all, spec_lib
+g = spec_lib.cfm_of_list([1] * 20000)
+hash(g)
+(result,), exhausted = derive_all(PLUGINS["fun"], g, SampleBudget(max_depth=5))
+assert result == g and not exhausted
+print(len(spec_lib.list_of_lstcfm(result)))
+"""
+
+
+def test_twenty_thousand_element_list_built_in_python_hashes():
+    # A first hash that recurses on the list's length overflows the C stack
+    # (SIGSEGV, exit 139), so this runs in a child.  Memo keys hash it.
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(
+        bigstep.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _DEEP_LIST],
+                          env=dict(os.environ, PYTHONPATH=src_dir),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "20000"
 
 
 # ---------------------------------------------------------------------------
