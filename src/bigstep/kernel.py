@@ -159,8 +159,12 @@ def seeded_rng(seed: int, *key: object) -> random.Random:
 # `depth` stored) and gives the same results, in the same order, at every
 # budget from h up, so its entry answers all of them.  An exhausted entry
 # stores the budget it was cut at and answers only that budget.  A lookup
-# the entry cannot answer derives the configuration again and overwrites it.
+# the entry cannot answer derives the configuration again; its answer
+# replaces an exhausted entry, but a cut answer never replaces a complete
+# one, which still answers every budget from its height up.
 _DERIVE_CACHE: dict[tuple, tuple[tuple, bool, int]] = {}
+
+_ABSENT = ((), True, 0)  # a missing entry: may be replaced like a cut one
 
 _OPEN = object()  # no value yet: the configuration needs a frame
 
@@ -263,7 +267,8 @@ def _walk(plugin, gamma, depth, policy, visit=None, spec=None, param=None,
                     value = (r if first else
                              ({r: InferTrace(gamma, r, 0, ())}, False, 1)
                              if infer else ((r,), False, 1))
-                if memo is not None and value is not _OPEN:
+                if memo is not None and value is not _OPEN \
+                        and (not value[1] or memo.get(key, _ABSENT)[1]):
                     memo[key] = value
         if value is _OPEN:
             if top is not None:
@@ -350,7 +355,8 @@ def _walk(plugin, gamma, depth, policy, visit=None, spec=None, param=None,
                 value = (out, exhausted, height)
             else:
                 value = (tuple(out), exhausted, height)
-                if memo is not None:
+                if memo is not None and (
+                        not exhausted or memo.get(top[2], _ABSENT)[1]):
                     memo[top[2]] = value
             if stack:
                 (top, apps, nxt, agenda, out, exhausted, height,
@@ -390,7 +396,8 @@ def derive_all(plugin: LanguagePlugin, gamma: Config, budget: SampleBudget,
     Without `visit`, each configuration derived on the way is memoized once
     (`_DERIVE_CACHE`): a later call at any budget from its height up, or at
     exactly the budget that cut it, reuses the entry instead of deriving
-    the subtree again.
+    the subtree again.  A call at a budget below a complete entry's height
+    derives again but keeps that entry.
     """
     return _walk(plugin, gamma, budget.max_depth, "all", visit=visit)[:2]
 

@@ -14,125 +14,18 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .imp_syntax import (ABin, AExp, AIdx, AName, ANum, ArrAssign, ArrDecl,
+                         Assign, BAnd, BBool, BCmp, BExp, BNot, Call, If, Seq,
+                         Skip, Stmt, VarDecl, While, parse_seq, parse_whole,
+                         print_stmt)
 from .kernel import Conclude, LanguagePlugin, Need
 from .syntax import (Node, ParseError, Tokens, hash_once, sorted_put,
                      warm_hash)
 
 
 # ---------------------------------------------------------------------------
-# Abstract syntax
+# Function definitions (statement syntax: `imp_syntax`)
 # ---------------------------------------------------------------------------
-
-@hash_once
-class ANum(Node):
-    value: int
-
-
-@hash_once
-class AName(Node):
-    name: str  # a variable or an array identifier (base location)
-
-
-@hash_once
-class AIdx(Node):
-    name: str  # array element read X[a]
-    index: "AExp"
-
-
-@hash_once
-class ABin(Node):
-    op: str  # + - * /
-    left: "AExp"
-    right: "AExp"
-
-
-AExp = ANum | AName | AIdx | ABin
-
-
-@hash_once
-class BBool(Node):
-    value: bool
-
-
-@hash_once
-class BCmp(Node):
-    op: str  # = <
-    left: AExp
-    right: AExp
-
-
-@hash_once
-class BAnd(Node):
-    left: "BExp"
-    right: "BExp"
-
-
-@hash_once
-class BNot(Node):
-    arg: "BExp"
-
-
-BExp = BBool | BCmp | BAnd | BNot
-
-
-@hash_once
-class Skip(Node):
-    pass
-
-
-@hash_once
-class VarDecl(Node):
-    var: str
-
-
-@hash_once
-class ArrDecl(Node):
-    name: str
-    size: int
-
-
-@hash_once
-class Assign(Node):
-    var: str
-    expr: AExp
-
-
-@hash_once
-class ArrAssign(Node):
-    name: str
-    index: AExp
-    expr: AExp
-
-
-@hash_once
-class Seq(Node):
-    first: "Stmt"
-    second: "Stmt"
-
-
-@hash_once
-class If(Node):
-    cond: BExp
-    then: "Stmt"
-    orelse: "Stmt"
-
-
-@hash_once
-class While(Node):
-    cond: BExp
-    body: "Stmt"
-
-
-@hash_once
-class Call(Node):
-    func: str
-    args: tuple[AExp, ...]
-    recvs: tuple[str, ...]
-
-
-Stmt = (Skip | VarDecl | ArrDecl | Assign | ArrAssign | Seq | If | While
-        | Call)
-
 
 @hash_once
 class Func(Node):
@@ -384,151 +277,8 @@ def _toks(src: str) -> Tokens:
     return Tokens(src, _SYMBOLS, _KEYWORDS)
 
 
-def _parse_aexp(t: Tokens) -> AExp:
-    node = _parse_term(t)
-    while t.peek() in ("+", "-"):
-        op = t.next()
-        node = ABin(op, node, _parse_term(t))
-    return node
-
-
-def _parse_term(t: Tokens) -> AExp:
-    node = _parse_factor(t)
-    while t.peek() in ("*", "/"):
-        op = t.next()
-        node = ABin(op, node, _parse_factor(t))
-    return node
-
-
-def _parse_factor(t: Tokens) -> AExp:
-    if t.peek() == "(":
-        t.next()
-        node = _parse_aexp(t)
-        t.eat(")")
-        return node
-    if t.peek() == "-" or t.peek_kind() == "int":
-        return ANum(t.integer())
-    name = t.ident()
-    if t.peek() == "[":
-        t.next()
-        idx = _parse_aexp(t)
-        t.eat("]")
-        return AIdx(name, idx)
-    return AName(name)
-
-
-def _parse_bexp(t: Tokens) -> BExp:
-    node = _parse_batom(t)
-    while t.peek() == "and":
-        t.next()
-        node = BAnd(node, _parse_batom(t))
-    return node
-
-
-def _parse_batom(t: Tokens) -> BExp:
-    if t.peek() == "true":
-        t.next()
-        return BBool(True)
-    if t.peek() == "false":
-        t.next()
-        return BBool(False)
-    if t.peek() == "not":
-        t.next()
-        return BNot(_parse_batom(t))
-    mark = t.save()
-    try:
-        left = _parse_aexp(t)
-        if t.peek() in ("=", "<", "<="):
-            op = t.next()
-            right = _parse_aexp(t)
-            if op == "<=":
-                # a1 <= a2 is sugar for not (a2 < a1).
-                return BNot(BCmp("<", right, left))
-            return BCmp(op, left, right)
-        raise ParseError("not a comparison")
-    except ParseError:
-        t.restore(mark)
-    t.eat("(")
-    node = _parse_bexp(t)
-    t.eat(")")
-    return node
-
-
-def _parse_stmt(t: Tokens) -> Stmt:
-    node = _parse_item(t)
-    if t.peek() == ";":
-        t.next()
-        return Seq(node, _parse_stmt(t))
-    return node
-
-
-def _parse_item(t: Tokens) -> Stmt:
-    if t.peek() == "skip":
-        t.next()
-        return Skip()
-    if t.peek() == "(":
-        t.next()
-        node = _parse_stmt(t)
-        t.eat(")")
-        return node
-    if t.peek() == "var":
-        t.next()
-        return VarDecl(t.ident())
-    if t.peek() == "array":
-        t.next()
-        name = t.ident()
-        t.eat("[")
-        size = t.integer()
-        t.eat("]")
-        if size < 0:
-            raise ParseError("array size must be non-negative")
-        return ArrDecl(name, size)
-    if t.peek() == "if":
-        t.next()
-        cond = _parse_bexp(t)
-        t.eat("then")
-        then = _parse_item(t)
-        t.eat("else")
-        return If(cond, then, _parse_item(t))
-    if t.peek() == "while":
-        t.next()
-        cond = _parse_bexp(t)
-        t.eat("do")
-        return While(cond, _parse_item(t))
-    if t.peek() == "call":
-        t.next()
-        f = t.ident()
-        t.eat("(")
-        args = []
-        while t.peek() not in (";", ")"):
-            args.append(_parse_aexp(t))
-            if t.peek() == ",":
-                t.next()
-        recvs = []
-        if t.peek() == ";":
-            t.next()
-            while t.peek() != ")":
-                recvs.append(t.ident())
-                if t.peek() == ",":
-                    t.next()
-        t.eat(")")
-        return Call(f, tuple(args), tuple(recvs))
-    name = t.ident()
-    if t.peek() == "[":
-        t.next()
-        idx = _parse_aexp(t)
-        t.eat("]")
-        t.eat(":=")
-        return ArrAssign(name, idx, _parse_aexp(t))
-    t.eat(":=")
-    return Assign(name, _parse_aexp(t))
-
-
 def parse_stmt(src: str) -> Stmt:
-    t = _toks(src)
-    node = _parse_stmt(t)
-    t.expect_end()
-    return node
+    return parse_whole(_toks(src))
 
 
 def parse_functions(src: str) -> ExtProgram:
@@ -539,36 +289,16 @@ def parse_functions(src: str) -> ExtProgram:
         t.eat("fun")
         name = t.ident()
         t.eat("(")
-        params = []
-        while t.peek() != ")":
-            params.append(t.ident())
-            if t.peek() == ",":
-                t.next()
+        params = t.items(Tokens.ident, ")")
         t.eat(")")
         t.eat("returns")
         t.eat("(")
-        rets = []
-        while t.peek() != ")":
-            rets.append(t.ident())
-            if t.peek() == ",":
-                t.next()
+        rets = t.items(Tokens.ident, ")")
         t.eat(")")
         t.eat("{")
-        depth = 1
-        mark = t.save()
-        # Find the matching closing brace, then parse the body in between.
-        while depth:
-            tok = t.next()
-            if tok == "{":
-                depth += 1
-            elif tok == "}":
-                depth -= 1
-        end = t.save()
-        t.restore(mark)
-        body = _parse_stmt(t)
-        if t.save() != end - 1:
-            raise ParseError("trailing input in function body", t.pos())
-        t.next()  # the closing brace
+        # No statement contains a brace, so the body ends at the first one.
+        body = parse_seq(t)
+        t.eat("}")
         if len(set(params)) != len(params):
             raise ParseError("duplicate parameter names in %s" % name)
         funcs.append((name, Func(tuple(params), tuple(rets), body)))
@@ -592,18 +322,12 @@ def parse_state(src: str) -> ExtState:
         while True:
             n = t.ident()
             t.eat("=")
-            if t.peek() == "[":
-                t.next()
-                contents = []
-                while t.peek() != "]":
-                    contents.append(t.integer())
-                    if t.peek() == ",":
-                        t.next()
+            if t.accept("["):
+                contents = t.items(Tokens.integer, "]")
                 t.eat("]")
-                start = 0
-                if t.peek() == "@":
-                    t.next()
-                    start = t.integer()
+                start = t.integer() if t.accept("@") else 0
+                if start < 0:
+                    raise ParseError("array offset must be non-negative")
                 names[n] = base
                 for off, v in enumerate(contents):
                     heap[base + start + off] = v
@@ -612,9 +336,8 @@ def parse_state(src: str) -> ExtState:
                 explicit_nextloc = t.integer()
             else:
                 names[n] = t.integer()
-            if t.peek() != ",":
+            if not t.accept(","):
                 break
-            t.next()
         t.expect_end()
     nextloc = base if explicit_nextloc is None else explicit_nextloc
     return warm_hash(ExtState.of(names, heap, nextloc))
@@ -633,58 +356,6 @@ def parse_config(src: str) -> ExtConfig:
         raise ParseError("too many '||' sections")
     return warm_hash(ExtConfig(parse_stmt(prog), parse_state(state),
                                parse_functions(funcs)))
-
-
-# ---------------------------------------------------------------------------
-# Printing
-# ---------------------------------------------------------------------------
-
-def print_aexp(a: AExp) -> str:
-    match a:
-        case ANum(v):
-            return str(v)
-        case AName(n):
-            return n
-        case AIdx(n, ix):
-            return "%s[%s]" % (n, print_aexp(ix))
-        case ABin(op, l, r):
-            return "(%s %s %s)" % (print_aexp(l), op, print_aexp(r))
-
-
-def print_bexp(b: BExp) -> str:
-    match b:
-        case BBool(v):
-            return "true" if v else "false"
-        case BCmp(op, l, r):
-            return "%s %s %s" % (print_aexp(l), op, print_aexp(r))
-        case BAnd(l, r):
-            return "(%s and %s)" % (print_bexp(l), print_bexp(r))
-        case BNot(x):
-            return "not %s" % print_bexp(x)
-
-
-def print_stmt(s: Stmt) -> str:
-    match s:
-        case Skip():
-            return "skip"
-        case VarDecl(x):
-            return "var %s" % x
-        case ArrDecl(x, size):
-            return "array %s[%d]" % (x, size)
-        case Assign(x, a):
-            return "%s := %s" % (x, print_aexp(a))
-        case ArrAssign(x, ix, a):
-            return "%s[%s] := %s" % (x, print_aexp(ix), print_aexp(a))
-        case Seq(a, b):
-            return "%s ; %s" % (print_stmt(a), print_stmt(b))
-        case If(b, a, c):
-            return "if %s then (%s) else (%s)" % (
-                print_bexp(b), print_stmt(a), print_stmt(c))
-        case While(b, a):
-            return "while %s do (%s)" % (print_bexp(b), print_stmt(a))
-        case Call(f, args, recvs):
-            return "call %s(%s; %s)" % (
-                f, ", ".join(print_aexp(a) for a in args), ", ".join(recvs))
 
 
 def pretty(value) -> str:

@@ -1,6 +1,9 @@
 """The While language: statements over integer states, and its seven
 big-step rules packaged as a LanguagePlugin.
 
+Its syntax, grammar and printer are ExtWhile's (`imp_syntax`), read with a
+lexicon that has no declarations, arrays, calls, `/` or `<=`.
+
 States are total maps Var -> Z, represented as finite maps defaulting to 0;
 zero-valued entries are dropped so structural equality compares exactly the
 variables a program has touched.
@@ -8,92 +11,13 @@ variables a program has touched.
 
 from __future__ import annotations
 
+from .imp_syntax import (ABin, AExp, AName, ANum, Assign, BAnd, BBool, BCmp,
+                         BExp, BNot, If, Seq, Skip, Stmt, While, parse_whole,
+                         print_stmt)
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import (Node, ParseError, Tokens, hash_once, sorted_put,
-                     warm_hash)
+from .syntax import Node, Tokens, hash_once, sorted_put, warm_hash
 
-
-# ---------------------------------------------------------------------------
-# Abstract syntax
-# ---------------------------------------------------------------------------
-
-@hash_once
-class ANum(Node):
-    value: int
-
-
-@hash_once
-class AVar(Node):
-    name: str
-
-
-@hash_once
-class ABin(Node):
-    op: str  # + - *
-    left: "AExp"
-    right: "AExp"
-
-
-AExp = ANum | AVar | ABin
-
-
-@hash_once
-class BBool(Node):
-    value: bool
-
-
-@hash_once
-class BCmp(Node):
-    op: str  # = <
-    left: AExp
-    right: AExp
-
-
-@hash_once
-class BAnd(Node):
-    left: "BExp"
-    right: "BExp"
-
-
-@hash_once
-class BNot(Node):
-    arg: "BExp"
-
-
-BExp = BBool | BCmp | BAnd | BNot
-
-
-@hash_once
-class Skip(Node):
-    pass
-
-
-@hash_once
-class Assign(Node):
-    var: str
-    expr: AExp
-
-
-@hash_once
-class Seq(Node):
-    first: "Stmt"
-    second: "Stmt"
-
-
-@hash_once
-class If(Node):
-    cond: BExp
-    then: "Stmt"
-    orelse: "Stmt"
-
-
-@hash_once
-class While(Node):
-    cond: BExp
-    body: "Stmt"
-
-
-Stmt = Skip | Assign | Seq | If | While
+AVar = AName  # a variable read; While has no arrays
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +63,7 @@ def aeval(a: AExp, s: WhileState) -> int:
     match a:
         case ANum(v):
             return v
-        case AVar(x):
+        case AName(x):
             return s.get(x)
         case ABin("+", l, r):
             return aeval(l, s) + aeval(r, s)
@@ -208,106 +132,8 @@ def _toks(src: str) -> Tokens:
     return Tokens(src, _SYMBOLS, _KEYWORDS)
 
 
-def _parse_aexp(t: Tokens) -> AExp:
-    node = _parse_term(t)
-    while t.peek() in ("+", "-"):
-        op = t.next()
-        node = ABin(op, node, _parse_term(t))
-    return node
-
-
-def _parse_term(t: Tokens) -> AExp:
-    node = _parse_factor(t)
-    while t.peek() == "*":
-        t.next()
-        node = ABin("*", node, _parse_factor(t))
-    return node
-
-
-def _parse_factor(t: Tokens) -> AExp:
-    if t.peek() == "(":
-        t.next()
-        node = _parse_aexp(t)
-        t.eat(")")
-        return node
-    if t.peek() == "-" or t.peek_kind() == "int":
-        return ANum(t.integer())
-    return AVar(t.ident())
-
-
-def _parse_bexp(t: Tokens) -> BExp:
-    node = _parse_batom(t)
-    while t.peek() == "and":
-        t.next()
-        node = BAnd(node, _parse_batom(t))
-    return node
-
-
-def _parse_batom(t: Tokens) -> BExp:
-    if t.peek() == "true":
-        t.next()
-        return BBool(True)
-    if t.peek() == "false":
-        t.next()
-        return BBool(False)
-    if t.peek() == "not":
-        t.next()
-        return BNot(_parse_batom(t))
-    # Comparison first; fall back to a parenthesized boolean expression.
-    mark = t.save()
-    try:
-        left = _parse_aexp(t)
-        if t.peek() in ("=", "<"):
-            op = t.next()
-            return BCmp(op, left, _parse_aexp(t))
-        raise ParseError("not a comparison")
-    except ParseError:
-        t.restore(mark)
-    t.eat("(")
-    node = _parse_bexp(t)
-    t.eat(")")
-    return node
-
-
-def _parse_stmt(t: Tokens) -> Stmt:
-    node = _parse_item(t)
-    if t.peek() == ";":
-        t.next()
-        return Seq(node, _parse_stmt(t))
-    return node
-
-
-def _parse_item(t: Tokens) -> Stmt:
-    if t.peek() == "skip":
-        t.next()
-        return Skip()
-    if t.peek() == "(":
-        t.next()
-        node = _parse_stmt(t)
-        t.eat(")")
-        return node
-    if t.peek() == "if":
-        t.next()
-        cond = _parse_bexp(t)
-        t.eat("then")
-        then = _parse_item(t)
-        t.eat("else")
-        return If(cond, then, _parse_item(t))
-    if t.peek() == "while":
-        t.next()
-        cond = _parse_bexp(t)
-        t.eat("do")
-        return While(cond, _parse_item(t))
-    x = t.ident()
-    t.eat(":=")
-    return Assign(x, _parse_aexp(t))
-
-
 def parse_stmt(src: str) -> Stmt:
-    t = _toks(src)
-    node = _parse_stmt(t)
-    t.expect_end()
-    return node
+    return parse_whole(_toks(src))
 
 
 def parse_state(src: str) -> WhileState:
@@ -320,61 +146,16 @@ def parse_state(src: str) -> WhileState:
         x = t.ident()
         t.eat("=")
         d[x] = t.integer()
-        if t.peek() != ",":
+        if not t.accept(","):
             break
-        t.next()
     t.expect_end()
     return warm_hash(WhileState.of(d))
 
 
 def parse_config(src: str) -> WhileConfig:
     """`stmt || state` where the state is an `x=3, y=4` assignment list."""
-    if "||" in src:
-        prog, state = src.split("||", 1)
-    else:
-        prog, state = src, ""
+    prog, _, state = src.partition("||")
     return warm_hash(WhileConfig(parse_stmt(prog), parse_state(state)))
-
-
-# ---------------------------------------------------------------------------
-# Printing
-# ---------------------------------------------------------------------------
-
-def print_aexp(a: AExp) -> str:
-    match a:
-        case ANum(v):
-            return str(v)
-        case AVar(x):
-            return x
-        case ABin(op, l, r):
-            return "(%s %s %s)" % (print_aexp(l), op, print_aexp(r))
-
-
-def print_bexp(b: BExp) -> str:
-    match b:
-        case BBool(v):
-            return "true" if v else "false"
-        case BCmp(op, l, r):
-            return "%s %s %s" % (print_aexp(l), op, print_aexp(r))
-        case BAnd(l, r):
-            return "(%s and %s)" % (print_bexp(l), print_bexp(r))
-        case BNot(x):
-            return "not %s" % print_bexp(x)
-
-
-def print_stmt(s: Stmt) -> str:
-    match s:
-        case Skip():
-            return "skip"
-        case Assign(x, a):
-            return "%s := %s" % (x, print_aexp(a))
-        case Seq(a, b):
-            return "%s ; %s" % (print_stmt(a), print_stmt(b))
-        case If(b, a, c):
-            return "if %s then (%s) else (%s)" % (
-                print_bexp(b), print_stmt(a), print_stmt(c))
-        case While(b, a):
-            return "while %s do (%s)" % (print_bexp(b), print_stmt(a))
 
 
 def pretty(value) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from . import imp_syntax as imp
 from . import lang_extwhile as ew
 from . import lang_fun as fn
 from . import lang_while as wh
@@ -23,51 +24,51 @@ _VARS = ("x", "y", "z")
 # While
 # ---------------------------------------------------------------------------
 
-def _wh_aexp(rng: random.Random, depth: int, ops: str = "+-*") -> wh.AExp:
+def _wh_aexp(rng: random.Random, depth: int, ops: str = "+-*") -> imp.AExp:
     if depth <= 0 or rng.random() < 0.4:
         if rng.random() < 0.5:
-            return wh.ANum(rng.randint(-3, 3))
-        return wh.AVar(rng.choice(_VARS))
+            return imp.ANum(rng.randint(-3, 3))
+        return imp.AName(rng.choice(_VARS))
     op = rng.choice(ops)
-    return wh.ABin(op, _wh_aexp(rng, depth - 1, ops),
-                   _wh_aexp(rng, depth - 1, ops))
+    return imp.ABin(op, _wh_aexp(rng, depth - 1, ops),
+                    _wh_aexp(rng, depth - 1, ops))
 
 
-def _wh_bexp(rng: random.Random, depth: int) -> wh.BExp:
+def _wh_bexp(rng: random.Random, depth: int) -> imp.BExp:
     if depth <= 0:
-        return wh.BCmp(rng.choice("=<"), _wh_aexp(rng, 1), _wh_aexp(rng, 1))
+        return imp.BCmp(rng.choice("=<"), _wh_aexp(rng, 1), _wh_aexp(rng, 1))
     roll = rng.random()
     if roll < 0.15:
-        return wh.BBool(rng.random() < 0.5)
+        return imp.BBool(rng.random() < 0.5)
     if roll < 0.35:
-        return wh.BNot(_wh_bexp(rng, depth - 1))
+        return imp.BNot(_wh_bexp(rng, depth - 1))
     if roll < 0.55:
-        return wh.BAnd(_wh_bexp(rng, depth - 1), _wh_bexp(rng, depth - 1))
-    return wh.BCmp(rng.choice("=<"), _wh_aexp(rng, 1), _wh_aexp(rng, 1))
+        return imp.BAnd(_wh_bexp(rng, depth - 1), _wh_bexp(rng, depth - 1))
+    return imp.BCmp(rng.choice("=<"), _wh_aexp(rng, 1), _wh_aexp(rng, 1))
 
 
 def _wh_stmt(rng: random.Random, depth: int, allow_loops: bool,
-             in_loop: bool = False) -> wh.Stmt:
+             in_loop: bool = False) -> imp.Stmt:
     # Inside loop bodies the arithmetic is additive only, so repeated
     # iterations cannot blow values up multiplicatively.
     ops = "+-" if in_loop else "+-*"
     if depth <= 0 or rng.random() < 0.25:
         if rng.random() < 0.2:
-            return wh.Skip()
-        return wh.Assign(rng.choice(_VARS), _wh_aexp(rng, 2, ops))
+            return imp.Skip()
+        return imp.Assign(rng.choice(_VARS), _wh_aexp(rng, 2, ops))
     roll = rng.random()
     if allow_loops and roll < 0.2:
         # Bounded countdown loops terminate; budget cuts the rest.
         v = rng.choice(_VARS)
-        body = wh.Seq(wh.Assign(v, wh.ABin("-", wh.AVar(v), wh.ANum(1))),
-                      _wh_stmt(rng, depth - 1, False, True))
-        return wh.While(wh.BCmp("<", wh.ANum(0), wh.AVar(v)), body)
+        body = imp.Seq(imp.Assign(v, imp.ABin("-", imp.AName(v), imp.ANum(1))),
+                       _wh_stmt(rng, depth - 1, False, True))
+        return imp.While(imp.BCmp("<", imp.ANum(0), imp.AName(v)), body)
     if roll < 0.55:
-        return wh.Seq(_wh_stmt(rng, depth - 1, allow_loops, in_loop),
-                      _wh_stmt(rng, depth - 1, allow_loops, in_loop))
-    return wh.If(_wh_bexp(rng, 1),
-                 _wh_stmt(rng, depth - 1, allow_loops, in_loop),
-                 _wh_stmt(rng, depth - 1, allow_loops, in_loop))
+        return imp.Seq(_wh_stmt(rng, depth - 1, allow_loops, in_loop),
+                       _wh_stmt(rng, depth - 1, allow_loops, in_loop))
+    return imp.If(_wh_bexp(rng, 1),
+                  _wh_stmt(rng, depth - 1, allow_loops, in_loop),
+                  _wh_stmt(rng, depth - 1, allow_loops, in_loop))
 
 
 def random_while_config(seed: int, index: int,
@@ -84,72 +85,72 @@ def random_while_config(seed: int, index: int,
 
 _INC_PROGRAM = ew.ExtProgram((
     ("inc", ew.Func(("a",), ("r",),
-                    ew.Assign("r", ew.ABin("+", ew.AName("a"),
-                                           ew.ANum(1))))),
+                    imp.Assign("r", imp.ABin("+", imp.AName("a"),
+                                             imp.ANum(1))))),
 ))
 
 
 def _ew_aexp(rng: random.Random, depth: int,
-             ops: str = "+-*/") -> ew.AExp:
+             ops: str = "+-*/") -> imp.AExp:
     roll = rng.random()
     if depth <= 0 or roll < 0.35:
         if rng.random() < 0.5:
-            return ew.ANum(rng.randint(-3, 3))
-        return ew.AName(rng.choice(_VARS))
+            return imp.ANum(rng.randint(-3, 3))
+        return imp.AName(rng.choice(_VARS))
     if roll < 0.5:
-        return ew.AIdx("A", _wh_to_ew(rng))
+        return imp.AIdx("A", _wh_to_ew(rng))
     op = rng.choice(ops)
-    return ew.ABin(op, _ew_aexp(rng, depth - 1, ops),
-                   _ew_aexp(rng, depth - 1, ops))
+    return imp.ABin(op, _ew_aexp(rng, depth - 1, ops),
+                    _ew_aexp(rng, depth - 1, ops))
 
 
-def _wh_to_ew(rng: random.Random) -> ew.AExp:
+def _wh_to_ew(rng: random.Random) -> imp.AExp:
     if rng.random() < 0.6:
-        return ew.ANum(rng.randint(0, 3))
-    return ew.AName(rng.choice(_VARS))
+        return imp.ANum(rng.randint(0, 3))
+    return imp.AName(rng.choice(_VARS))
 
 
-def _ew_bexp(rng: random.Random, depth: int) -> ew.BExp:
+def _ew_bexp(rng: random.Random, depth: int) -> imp.BExp:
     if depth <= 0:
-        return ew.BCmp(rng.choice("=<"), _ew_aexp(rng, 1),
-                       _ew_aexp(rng, 1))
+        return imp.BCmp(rng.choice("=<"), _ew_aexp(rng, 1),
+                        _ew_aexp(rng, 1))
     roll = rng.random()
     if roll < 0.2:
-        return ew.BNot(_ew_bexp(rng, depth - 1))
+        return imp.BNot(_ew_bexp(rng, depth - 1))
     if roll < 0.4:
-        return ew.BAnd(_ew_bexp(rng, depth - 1), _ew_bexp(rng, depth - 1))
-    return ew.BCmp(rng.choice("=<"), _ew_aexp(rng, 1), _ew_aexp(rng, 1))
+        return imp.BAnd(_ew_bexp(rng, depth - 1), _ew_bexp(rng, depth - 1))
+    return imp.BCmp(rng.choice("=<"), _ew_aexp(rng, 1), _ew_aexp(rng, 1))
 
 
 def _ew_stmt(rng: random.Random, depth: int, allow_loops: bool,
-             in_loop: bool = False) -> ew.Stmt:
+             in_loop: bool = False) -> imp.Stmt:
     ops = "+-/" if in_loop else "+-*/"
     if depth <= 0 or rng.random() < 0.25:
         roll = rng.random()
         if roll < 0.1:
-            return ew.Skip()
+            return imp.Skip()
         if roll < 0.2:
-            return ew.VarDecl(rng.choice(("w", "v")))
+            return imp.VarDecl(rng.choice(("w", "v")))
         if roll < 0.3:
-            return ew.ArrDecl("B", rng.randint(0, 3))
+            return imp.ArrDecl("B", rng.randint(0, 3))
         if roll < 0.45:
-            return ew.ArrAssign("A", _wh_to_ew(rng), _ew_aexp(rng, 1, ops))
+            return imp.ArrAssign("A", _wh_to_ew(rng), _ew_aexp(rng, 1, ops))
         if roll < 0.55:
-            return ew.Call("inc", (_ew_aexp(rng, 1, ops),),
-                           (rng.choice(_VARS),))
-        return ew.Assign(rng.choice(_VARS), _ew_aexp(rng, 2, ops))
+            return imp.Call("inc", (_ew_aexp(rng, 1, ops),),
+                            (rng.choice(_VARS),))
+        return imp.Assign(rng.choice(_VARS), _ew_aexp(rng, 2, ops))
     roll = rng.random()
     if allow_loops and roll < 0.15:
         v = rng.choice(_VARS)
-        body = ew.Seq(ew.Assign(v, ew.ABin("-", ew.AName(v), ew.ANum(1))),
-                      _ew_stmt(rng, depth - 1, False, True))
-        return ew.While(ew.BCmp("<", ew.ANum(0), ew.AName(v)), body)
+        body = imp.Seq(imp.Assign(v, imp.ABin("-", imp.AName(v), imp.ANum(1))),
+                       _ew_stmt(rng, depth - 1, False, True))
+        return imp.While(imp.BCmp("<", imp.ANum(0), imp.AName(v)), body)
     if roll < 0.55:
-        return ew.Seq(_ew_stmt(rng, depth - 1, allow_loops, in_loop),
-                      _ew_stmt(rng, depth - 1, allow_loops, in_loop))
-    return ew.If(_ew_bexp(rng, 1),
-                 _ew_stmt(rng, depth - 1, allow_loops, in_loop),
-                 _ew_stmt(rng, depth - 1, allow_loops, in_loop))
+        return imp.Seq(_ew_stmt(rng, depth - 1, allow_loops, in_loop),
+                       _ew_stmt(rng, depth - 1, allow_loops, in_loop))
+    return imp.If(_ew_bexp(rng, 1),
+                  _ew_stmt(rng, depth - 1, allow_loops, in_loop),
+                  _ew_stmt(rng, depth - 1, allow_loops, in_loop))
 
 
 def random_extwhile_config(seed: int, index: int,

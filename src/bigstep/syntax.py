@@ -143,6 +143,13 @@ class Tokens:
         self.i += 1
         return tok[1]
 
+    def accept(self, text) -> bool:
+        """Read the next token if it is `text`; say whether it was."""
+        if self.peek() != text:
+            return False
+        self.i += 1
+        return True
+
     def eat(self, text):
         if self.peek() != text:
             raise ParseError("expected %r, found %r" % (text, self.peek()),
@@ -165,6 +172,15 @@ class Tokens:
                              self.pos())
         v = int(self.next())
         return -v if neg else v
+
+    def items(self, item, *ends) -> list:
+        """`item(self)` read up to the first token in `ends`, which is left
+        unread; a comma after an item is skipped."""
+        out = []
+        while self.peek() not in ends:
+            out.append(item(self))
+            self.accept(",")
+        return out
 
     def pos(self):
         return self.toks[self.i][2] if self.i < len(self.toks) else None

@@ -35,8 +35,9 @@ def ref_derive(plugin, gamma, depth, visit=None, memo=None):
     configuration to (results, exhausted, depth), where `depth` is the
     derivation's height if it is not exhausted, and the budget that cut it
     if it is.  An entry answers every budget from its height up, or only
-    its own budget if exhausted; a lookup it cannot answer derives again
-    and overwrites it."""
+    its own budget if exhausted; a lookup it cannot answer derives again,
+    and its answer replaces the entry unless the answer is cut and the
+    entry complete."""
     memo = {} if memo is None else memo
     return _ref_derive(plugin, gamma, depth, visit, memo)[:2]
 
@@ -53,7 +54,7 @@ def _ref_derive(plugin, gamma, depth, visit, memo):
     if depth <= 0:
         out = ((), bool(apps), 0)
         if visit is None:
-            memo[gamma] = out
+            remember(memo, gamma, out)
         return out
 
     results: list = []
@@ -80,8 +81,14 @@ def _ref_derive(plugin, gamma, depth, visit, memo):
         walk(app)
     out = (tuple(results), exhausted, depth if exhausted else height)
     if visit is None:
-        memo[gamma] = out
+        remember(memo, gamma, out)
     return out
+
+
+def remember(memo, gamma, out):
+    old = memo.get(gamma)
+    if not out[1] or old is None or old[1]:
+        memo[gamma] = out
 
 
 def plain_derive(plugin, gamma, depth):

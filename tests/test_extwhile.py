@@ -14,6 +14,7 @@ from bigstep.lang_extwhile import (ABin, AIdx, AName, ANum, ArrAssign,
                                    parse_stmt)
 from bigstep.spec_lib import (MERGE_FUNCTIONS_SRC, MERGE_PROGRAM,
                               merge_call_config)
+from bigstep.syntax import ParseError
 
 B = SampleBudget(max_depth=4096, max_samples=4, seed=0)
 EMPTY = ExtProgram()
@@ -206,6 +207,14 @@ def test_parse_state_allocates_arrays_in_order():
     assert parse_state("S=[1], nextloc=9").nextloc == 9
 
 
+def test_parse_state_rejects_a_negative_offset():
+    # S=[1,3]@-1 would place S's first cell below its base, inside the
+    # cells of the array allocated before it.
+    with pytest.raises(ParseError):
+        parse_state("S=[1,3]@-1, T=[7]")
+    assert parse_state("S=[1,3]@0, T=[7]") == parse_state("S=[1,3], T=[7]")
+
+
 def test_le_comparison_desugars_to_negated_flipped_lt():
     stmt = parse_stmt("if x <= y then skip else skip")
     assert stmt.cond == BNot(BCmp("<", AName("y"), AName("x")))
@@ -232,6 +241,18 @@ def _merge_result(l, frag1, frag2):
 ])
 def test_merge_function_matches_sorted_concatenation(l, f1, f2):
     assert _merge_result(l, f1, f2) == sorted(f1 + f2)
+
+
+@pytest.mark.parametrize("src", [
+    "fun f(a) returns (r) { r := a y := 2 }",
+    "fun f(a) returns (r) { r := a",
+    "fun f(a) returns (r) { { r := a } }",
+    "fun f(a) returns (r) { r := a } }",
+    "fun f(a, a) returns (r) { r := a }",
+])
+def test_parse_functions_rejects_a_malformed_definition(src):
+    with pytest.raises(ParseError):
+        parse_functions(src)
 
 
 def test_merge_program_source_parses_to_the_bundled_program():

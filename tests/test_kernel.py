@@ -120,7 +120,11 @@ def test_memo_entry_answers_from_its_height_up():
     assert at(22) == done
     assert _memo_entries(plugin) == 21
     assert at(10) == ((), True)
+    # The cut call left the complete entries in place: they still answer.
+    calls[0] = 0
+    assert at(22) == done
     assert at(11) == done
+    assert calls[0] == 0
     assert _memo_entries(plugin) == 21
     calls[0] = 0
     for depth in (16, 20, 33):
