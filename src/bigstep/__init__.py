@@ -28,7 +28,6 @@ from .kernel import (
     derive_all,
     derive_one,
     infer_results,
-    infer_results_traced,
     replay_trace,
     seeded_rng,
     spec_refines,
@@ -49,7 +48,6 @@ __all__ = [
     "PASS", "PRECONDITION_FAILED", "PLUGINS", "PremiseStep", "SampleBudget",
     "Specification", "UNIVERSE", "check_soundness_crosscheck", "check_valid",
     "check_verif", "derive_all", "derive_one", "infer_results",
-    "infer_results_traced", "lang_extwhile", "lang_fun", "lang_while",
-    "replay_trace", "seeded_rng", "spec_lib", "spec_refines", "star_spec",
-    "trivial_spec",
+    "lang_extwhile", "lang_fun", "lang_while", "replay_trace", "seeded_rng",
+    "spec_lib", "spec_refines", "star_spec", "trivial_spec",
 ]

@@ -23,8 +23,7 @@ import sys
 # The package's plugin registry.  `_plugin` looks `PLUGINS` up in this
 # module at run time, so a caller may rebind `cli.PLUGINS` to wrap plugins.
 from . import PLUGINS, random_programs, spec_lib
-from .kernel import (BUDGET_EXHAUSTED, CheckReport, FAIL, PASS,
-                     PRECONDITION_FAILED, SampleBudget,
+from .kernel import (BUDGET_EXHAUSTED, CheckReport, PASS, SampleBudget,
                      Specification, check_soundness_crosscheck, check_valid,
                      check_verif, derive_all, star_spec, trivial_spec)
 from .syntax import ParseError
@@ -186,45 +185,36 @@ def cmd_run(args) -> int:
     results, exhausted = derive_all(plugin, gamma, budget)
     doc = _base_doc(args, budget, args.command)
     doc["results"] = [plugin.pretty(r) for r in results]
-    if args.command == "run":
-        if results:
-            doc["status"] = "result"
-            _emit(args, doc, [plugin.pretty(results[0])])
-            return EXIT_PASS
-    elif results or not exhausted:
-        doc["status"] = "result" if results else "stuck"
-        lines = [plugin.pretty(r) for r in results]
-        if not results:
-            lines = ["stuck at %s" % plugin.pretty(gamma)]
-        _emit(args, doc, lines)
-        return EXIT_PASS if results else EXIT_STUCK
-    if exhausted:
-        doc["status"] = "budget_exhausted"
-        _emit(args, doc, ["budget exhausted (depth %d)" % budget.max_depth])
-        return EXIT_BUDGET
-    doc["status"] = "stuck"
-    _emit(args, doc, ["stuck at %s" % plugin.pretty(gamma)])
-    return EXIT_STUCK
+    if results:
+        doc["status"], code = "result", EXIT_PASS
+        lines = (doc["results"][:1] if args.command == "run"
+                 else doc["results"])
+    elif exhausted:
+        doc["status"], code = "budget_exhausted", EXIT_BUDGET
+        lines = ["budget exhausted (depth %d)" % budget.max_depth]
+    else:
+        doc["status"], code = "stuck", EXIT_STUCK
+        lines = ["stuck at %s" % plugin.pretty(gamma)]
+    _emit(args, doc, lines)
+    return code
 
 
 def cmd_check(args) -> int:
     plugin = _plugin(args)
     budget = _budget(args)
     if args.command == "star-check":
-        spec = star_spec(plugin, budget)
+        spec, checker = star_spec(plugin, budget), check_verif
         if args.spec is None:
             args.spec = "star"
-        corpus = _corpus(args, plugin, budget)
-        report = check_verif(plugin, spec, corpus, budget)
+    elif args.spec is None:
+        raise CliError("%s needs --spec" % args.command)
     else:
-        if args.spec is None:
-            raise CliError("%s needs --spec" % args.command)
         spec = _resolve_spec(args, budget)
-        corpus = _corpus(args, plugin, budget)
         checker = {"check-valid": check_valid,
                    "check-verif": check_verif,
                    "crosscheck": check_soundness_crosscheck}[args.command]
-        report = checker(plugin, spec, corpus, budget)
+    corpus = _corpus(args, plugin, budget)
+    report = checker(plugin, spec, corpus, budget)
     return _report_exit(args, budget, plugin, report, len(corpus))
 
 
@@ -245,11 +235,9 @@ def _report_exit(args, budget, plugin, report: CheckReport,
     _emit(args, doc, lines)
     if report.status == PASS:
         return EXIT_PASS
-    if report.status in (FAIL, PRECONDITION_FAILED):
-        return EXIT_FAIL
     if report.status == BUDGET_EXHAUSTED:
         return EXIT_BUDGET
-    return EXIT_FAIL
+    return EXIT_FAIL  # fail or precondition_failed
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,7 @@ from typing import Any, Callable, Optional
 # nesting depth (the parsers, lang_fun's occurrence sets, canonical-form
 # check and substitution, printers, trace rendering and replay), and a long
 # literal list such as a 20,000-element `fun` list needs more headroom than
-# the default stack limit.  The first hash of a node and the comparison of
-# two distinct nodes recurse through C frames instead, and the C stack runs
-# out long before this limit: the plugins' parsers hash their output
-# bottom-up (`syntax.warm_hash`), so hashing a parsed term stays shallow.
+# the default stack limit.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 Config = Any
@@ -449,16 +446,9 @@ def infer_results(plugin, spec, param, gamma, budget, extra_sampler=None):
     constrained premises (still membership-filtered); the soundness
     cross-check uses it to feed actual derived results back in.
 
-    Returns (results, exhausted).
+    Returns ({result: InferTrace}, exhausted), results in the order they
+    were found; a result reached in several ways keeps its first trace.
     """
-    traced, exhausted = infer_results_traced(
-        plugin, spec, param, gamma, budget, extra_sampler)
-    return tuple(traced), exhausted
-
-
-def infer_results_traced(plugin, spec, param, gamma, budget,
-                         extra_sampler=None):
-    """Like infer_results but returns {result: InferTrace} (first trace wins)."""
     return _walk(plugin, gamma, budget.max_depth, "spec", spec=spec,
                  param=param, budget=budget, extra=extra_sampler)[:2]
 
@@ -579,12 +569,8 @@ def _reachable(plugin, corpus, budget) -> list:
 
 def _targets(plugin, spec, param, corpus, reachable):
     """Corpus configs plus harvested sub-configs with a constrained entry."""
-    seen: set = set()
     out = []
-    for gamma in list(corpus) + reachable:
-        if gamma in seen:
-            continue
-        seen.add(gamma)
+    for gamma in dict.fromkeys(list(corpus) + reachable):
         sset = spec.at(param, gamma)
         if isinstance(sset, Constrained):
             out.append((gamma, sset))
@@ -616,8 +602,8 @@ def _check_verif(plugin, spec, corpus, budget, reachable,
     checked = inferred_total = 0
     for param in spec.param_domain:
         for gamma, sset in _targets(plugin, spec, param, corpus, reachable):
-            traced, ex = infer_results_traced(plugin, spec, param, gamma,
-                                              budget, extra_sampler)
+            traced, ex = infer_results(plugin, spec, param, gamma, budget,
+                                       extra_sampler)
             exhausted = exhausted or ex
             checked += 1
             inferred_total += len(traced)
@@ -648,8 +634,7 @@ def check_valid(plugin, spec, corpus, budget) -> CheckReport:
             if bad:
                 # Traces come from inference under the trivial spec, which
                 # coincides with derivation.
-                traced, _ = infer_results_traced(plugin, triv, None, gamma,
-                                                 budget)
+                traced, _ = infer_results(plugin, triv, None, gamma, budget)
                 for r in bad:
                     cexs.append(Counterexample(
                         param, gamma, r,
@@ -697,7 +682,7 @@ def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
             checked += 1
             inferred, _ = infer_results(plugin, spec, param, gamma, budget,
                                         extra_sampler=extra)
-            missing = [r for r in derived if r not in set(inferred)]
+            missing = [r for r in derived if r not in inferred]
             for r in missing:
                 cexs.append(Counterexample(
                     param, gamma, r,

@@ -19,8 +19,7 @@ from .imp_syntax import (ABin, AExp, AIdx, AName, ANum, ArrAssign, ArrDecl,
                          Skip, Stmt, VarDecl, While, parse_seq, parse_whole,
                          print_stmt)
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import (Node, ParseError, Tokens, hash_once, sorted_put,
-                     warm_hash)
+from .syntax import Node, ParseError, Tokens, hash_once, sorted_put
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +309,8 @@ def parse_state(src: str) -> ExtState:
 
     Array entries allocate bases in order of appearance starting at 0; an
     entry `S=[c0,..]@i` gives S extent i+len (indices 0..i+len-1) with the
-    contents placed from index i.  `nextloc=` overrides the computed value.
+    contents placed from index i.  `nextloc=` overrides the computed value;
+    it may not be below the cells the arrays take.
     """
     src = src.strip()
     names: dict[str, int] = {}
@@ -340,7 +340,10 @@ def parse_state(src: str) -> ExtState:
                 break
         t.expect_end()
     nextloc = base if explicit_nextloc is None else explicit_nextloc
-    return warm_hash(ExtState.of(names, heap, nextloc))
+    if nextloc < base:
+        raise ParseError("nextloc=%d is below the arrays' %d cells"
+                         % (nextloc, base))
+    return ExtState.of(names, heap, nextloc)
 
 
 def parse_config(src: str) -> ExtConfig:
@@ -354,8 +357,8 @@ def parse_config(src: str) -> ExtConfig:
         funcs, prog, state = parts
     else:
         raise ParseError("too many '||' sections")
-    return warm_hash(ExtConfig(parse_stmt(prog), parse_state(state),
-                               parse_functions(funcs)))
+    return ExtConfig(parse_stmt(prog), parse_state(state),
+                     parse_functions(funcs))
 
 
 def pretty(value) -> str:

@@ -23,8 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import (Node, ParseError, Tokens, hash_once, set_hash,
-                     warm_hash)
+from .syntax import Node, ParseError, Tokens, hash_once, set_hash
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +338,11 @@ def _toks(src: str) -> Tokens:
 
 
 def _parse_expr(t: Tokens) -> FExpr:
-    if t.peek() == "\\":
-        t.next()
+    if t.accept("\\"):
         v = t.ident()
         t.eat(".")
         return FLam(v, _parse_expr(t))
-    if t.peek() == "letrec":
-        t.next()
+    if t.accept("letrec"):
         v = t.ident()
         t.eat("=")
         bound = _parse_expr(t)
@@ -353,8 +350,7 @@ def _parse_expr(t: Tokens) -> FExpr:
             raise ParseError("letrec must bind a lambda abstraction")
         t.eat("in")
         return FLetRec(v, bound, _parse_expr(t))
-    if t.peek() == "if":
-        t.next()
+    if t.accept("if"):
         cond = _parse_expr(t)
         t.eat("then")
         then = _parse_expr(t)
@@ -365,23 +361,20 @@ def _parse_expr(t: Tokens) -> FExpr:
 
 def _parse_conj(t: Tokens) -> FExpr:
     node = _parse_neg(t)
-    while t.peek() == "and":
-        t.next()
+    while t.accept("and"):
         node = FAnd(node, _parse_neg(t))
     return node
 
 
 def _parse_neg(t: Tokens) -> FExpr:
-    if t.peek() == "not":
-        t.next()
+    if t.accept("not"):
         return FNot(_parse_neg(t))
     return _parse_cons(t)
 
 
 def _parse_cons(t: Tokens) -> FExpr:
     node = _parse_cmp(t)
-    if t.peek() == "::":
-        t.next()
+    if t.accept("::"):
         return FCons(node, _parse_cons(t))
     return node
 
@@ -428,21 +421,15 @@ def _parse_app(t: Tokens) -> FExpr:
 
 
 def _parse_atom(t: Tokens, allow_neg: bool) -> FExpr:
-    if allow_neg and t.peek() == "-":
+    if allow_neg and t.peek() == "-" or t.peek_kind() == "int":
         return FNum(t.integer())
-    if t.peek_kind() == "int":
-        return FNum(t.integer())
-    if t.peek() == "true":
-        t.next()
+    if t.accept("true"):
         return FBool(True)
-    if t.peek() == "false":
-        t.next()
+    if t.accept("false"):
         return FBool(False)
-    if t.peek() == "nil":
-        t.next()
+    if t.accept("nil"):
         return FNil()
-    if t.peek() == "listcase":
-        t.next()
+    if t.accept("listcase"):
         scrut = _parse_expr(t)
         t.eat("of")
         t.eat("(")
@@ -451,8 +438,7 @@ def _parse_atom(t: Tokens, allow_neg: bool) -> FExpr:
         on_cons = _parse_expr(t)
         t.eat(")")
         return FListCase(scrut, on_nil, on_cons)
-    if t.peek() == "(":
-        t.next()
+    if t.accept("("):
         node = _parse_expr(t)
         t.eat(")")
         return node
@@ -463,7 +449,7 @@ def parse_expr(src: str) -> FExpr:
     t = _toks(src)
     node = _parse_expr(t)
     t.expect_end()
-    return warm_hash(node)
+    return node
 
 
 # ---------------------------------------------------------------------------

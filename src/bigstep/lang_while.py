@@ -15,7 +15,7 @@ from .imp_syntax import (ABin, AExp, AName, ANum, Assign, BAnd, BBool, BCmp,
                          BExp, BNot, If, Seq, Skip, Stmt, While, parse_whole,
                          print_stmt)
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import Node, Tokens, hash_once, sorted_put, warm_hash
+from .syntax import Node, Tokens, hash_once, sorted_put
 
 AVar = AName  # a variable read; While has no arrays
 
@@ -149,13 +149,13 @@ def parse_state(src: str) -> WhileState:
         if not t.accept(","):
             break
     t.expect_end()
-    return warm_hash(WhileState.of(d))
+    return WhileState.of(d)
 
 
 def parse_config(src: str) -> WhileConfig:
     """`stmt || state` where the state is an `x=3, y=4` assignment list."""
     prog, _, state = src.partition("||")
-    return warm_hash(WhileConfig(parse_stmt(prog), parse_state(state)))
+    return WhileConfig(parse_stmt(prog), parse_state(state))
 
 
 def pretty(value) -> str:

@@ -108,18 +108,10 @@ def list_of_lstcfm(c) -> Optional[list]:
 
 
 def cfm_of_list(values) -> fn.FExpr:
-    """The list canonical form of `values`.
-
-    A node's first hash recurses on its depth through C frames, and a list
-    of some thousands of elements overflows the C stack.  Every 1,000th
-    cons is hashed as it is built, its tail's hash being cached already,
-    so no first hash recurses more than 1,000 levels; short lists, the
-    common case, are built without hashing."""
+    """The list canonical form of `values`."""
     out: fn.FExpr = fn.FNil()
-    for i, v in enumerate(reversed(values), 1):
+    for v in reversed(values):
         out = fn.FCons(fn.FNum(v), out)
-        if i % 1000 == 0:
-            hash(out)
     return out
 
 
@@ -215,10 +207,11 @@ TAIL_J_SRC = ("while j <= n do "
 MERGE_BODY_SRC = ("var j ; var k ; j := m + 1 ; k := i ; "
                   + W_MG_SRC + " ; " + TAIL_I_SRC + " ; " + TAIL_J_SRC)
 
-W_MG = ew.parse_stmt(W_MG_SRC)
-TAIL_I = ew.parse_stmt(TAIL_I_SRC)
-TAIL_J = ew.parse_stmt(TAIL_J_SRC)
 MERGE_BODY = ew.parse_stmt(MERGE_BODY_SRC)
+# The body's own loops, so `at` finds them by identity, not a tree walk.
+_LOOPS = MERGE_BODY.second.second.second.second
+W_MG, TAIL_I, TAIL_J = (_LOOPS.first, _LOOPS.second.first,
+                        _LOOPS.second.second)
 MERGE_PROGRAM = ew.ExtProgram((
     ("merge", ew.Func(("S", "T", "i", "m", "n"), (), MERGE_BODY)),
 ))

@@ -9,6 +9,14 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 
 
+# Past this nesting depth, a node's first hash and its comparison with a
+# distinct node run from an explicit stack, not through the dataclass code,
+# whose calls recurse through C frames that no recursion limit guards.  A
+# level takes two Python frames: well under the default limit of 1,000.
+_MAX_NESTING = 200
+_nesting = 0  # open Node.__hash__/__eq__ calls, counted for one thread
+
+
 class Node:
     """Base of the `hash_once` classes; holds the cached hash.
 
@@ -18,6 +26,8 @@ class Node:
     the value in the `_hash` slot (cf. Filliatre and Conchon, "Type-safe
     modular hash-consing", ML Workshop 2006).  The value is the one the
     plain dataclass computes, so hash-ordered containers behave as before.
+    Equality is the dataclass's, short-circuited on identity and on cached
+    hashes that differ.  Both are safe on terms of any nesting depth.
     """
 
     __slots__ = ("_hash",)
@@ -29,9 +39,33 @@ class Node:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._field_hash()
+            global _nesting
+            if _nesting >= _MAX_NESTING:
+                return _hash_children_first(self)
+            _nesting += 1
+            try:
+                h = self._field_hash()
+            finally:
+                _nesting -= 1
             set_hash(self, h)
         return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        global _nesting
+        if _nesting >= _MAX_NESTING:
+            return _equal_on_stack(self, other)
+        _nesting += 1
+        try:
+            return self._field_eq(other)
+        finally:
+            _nesting -= 1
 
     def __setstate__(self, state):
         # Copies and unpickled nodes start with empty caches: a hash built
@@ -49,39 +83,53 @@ set_hash = Node._hash.__set__
 
 def hash_once(cls):
     """Make `cls`, a `Node` subclass, a slotted frozen dataclass whose hash
-    is computed at most once.  Equality, `__match_args__` and `repr` are
-    the dataclass's own."""
+    is computed at most once.  `__match_args__` and `repr` are the
+    dataclass's own."""
     cls = dataclass(frozen=True, slots=True)(cls)
-    cls._field_hash = cls.__hash__
-    cls.__hash__ = Node.__hash__
+    cls._field_hash, cls._field_eq = cls.__hash__, cls.__eq__
+    cls.__hash__, cls.__eq__ = Node.__hash__, Node.__eq__
     cls.__setstate__ = Node.__setstate__
     return cls
 
 
-def warm_hash(root):
-    """Hash every node under `root` before its parent, and return `root`.
-
-    A node's first hash hashes its fields, and their first hashes recurse
-    through C frames on the term's nesting depth: a deep enough term (a
-    20,000-element `fun` list) overflows the C stack and kills the
-    interpreter, which no recursion limit catches.  Hashing children first,
-    from an explicit stack, keeps every first hash one level deep.  Tuples
-    (states, parameter lists) are walked into; they cache no hash.  Parsed
-    terms are trees, so no node is reached twice.
-    """
-    stack = [root]
-    nodes = []  # pre-order: every node before its descendants
+def _hash_children_first(root) -> int:
+    """Hash `root` and every unhashed node under it, each after its
+    children, from an explicit stack; tuples, which cache no hash, are
+    walked into.  A node popped unhashed is hashed before any entry below
+    its own is popped, so a shared node is expanded once (terms have no
+    cycles)."""
+    stack = [(root, False)]
     while stack:
-        obj = stack.pop()
-        if isinstance(obj, Node):
-            if obj._hash is None:
-                nodes.append(obj)
-                stack.extend([getattr(obj, f) for f in obj.__match_args__])
-        elif isinstance(obj, tuple):
-            stack.extend(obj)
-    for node in reversed(nodes):
-        hash(node)
-    return root
+        x, children_done = stack.pop()
+        if children_done:
+            set_hash(x, x._field_hash())
+        elif isinstance(x, tuple):
+            stack.extend((y, False) for y in x)
+        elif isinstance(x, Node) and x._hash is None:
+            stack.append((x, True))
+            stack.extend((getattr(x, f), False) for f in x.__match_args__)
+    return root._hash
+
+
+def _equal_on_stack(a, b) -> bool:
+    """The dataclass comparison of two nodes, from an explicit stack."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if isinstance(x, Node):
+            if y.__class__ is not x.__class__:
+                return False
+            stack.extend((getattr(x, f), getattr(y, f))
+                         for f in x.__match_args__)
+        elif isinstance(x, tuple) and isinstance(y, tuple):
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif x != y:
+            return False
+    return True
 
 
 def sorted_put(pairs: tuple, key, value, drop_zero: bool = False) -> tuple:
@@ -129,9 +177,8 @@ class Tokens:
             raise ParseError("unexpected character %r" % src[pos], pos)
         self.i = 0
 
-    def peek(self, offset=0):
-        j = self.i + offset
-        return self.toks[j][1] if j < len(self.toks) else None
+    def peek(self):
+        return self.toks[self.i][1] if self.i < len(self.toks) else None
 
     def peek_kind(self):
         return self.toks[self.i][0] if self.i < len(self.toks) else None

@@ -14,7 +14,7 @@ from bigstep import PLUGINS
 from bigstep.kernel import (UNIVERSE, Conclude, Constrained, InferTrace,
                             LanguagePlugin, Need, PremiseStep, SampleBudget,
                             Specification, derive_all, derive_one,
-                            infer_results_traced, trivial_spec)
+                            infer_results, trivial_spec)
 from bigstep.lang_while import While
 from bigstep.random_programs import loop_free_corpus, random_corpus
 from bigstep.spec_lib import (fac_corpus, mglist_corpus, msort_corpus,
@@ -260,7 +260,7 @@ def same_answers_on_a_shared_memo(plugin, gamma, depths):
 
 def same_inference(plugin, spec, param, gamma, budget, extra=None):
     new_log, ref_log = [], []
-    new_traced, new_ex = infer_results_traced(
+    new_traced, new_ex = infer_results(
         logged(plugin, new_log), logged_spec(spec, new_log), param, gamma,
         budget, logged_extra(extra, new_log))
     ref_traced, ref_ex = ref_infer(

@@ -215,6 +215,19 @@ def test_parse_state_rejects_a_negative_offset():
     assert parse_state("S=[1,3]@0, T=[7]") == parse_state("S=[1,3], T=[7]")
 
 
+def test_parse_state_rejects_nextloc_below_the_arrays():
+    # With nextloc=1, `array B[1]` was allocated over S's second cell
+    # without zeroing it, so `x := B[0]` read 2 instead of 0.
+    for src in ("S=[1,2], x=0, nextloc=1", "nextloc=0, T=[5]@1"):
+        with pytest.raises(ParseError, match="nextloc"):
+            parse_state(src)
+    with pytest.raises(ParseError, match="nextloc"):
+        parse_config("array B[1] ; x := B[0] || S=[1,2], x=0, nextloc=1")
+    assert parse_state("S=[1,2], nextloc=2").nextloc == 2
+    c = parse_config("array B[1] ; x := B[0] || S=[1,2], x=0, nextloc=2")
+    assert derive_one(PLUGIN, c, B).name("x") == 0
+
+
 def test_le_comparison_desugars_to_negated_flipped_lt():
     stmt = parse_stmt("if x <= y then skip else skip")
     assert stmt.cond == BNot(BCmp("<", AName("y"), AName("x")))

@@ -1,12 +1,14 @@
 """Hash-once nodes: copies and pickles of terms, states and configurations
 of every language stay equal, hashable and usable as dict keys, even when
-unpickled under another hash seed; state writes match a full rebuild."""
+unpickled under another hash seed; state writes match a full rebuild; a
+node hashes as its field tuple, and terms of any depth hash and compare."""
 
 import copy
 import os
 import pickle
 import subprocess
 import sys
+from dataclasses import fields
 
 import hypothesis.strategies as st
 import pytest
@@ -14,8 +16,11 @@ from hypothesis import given, settings
 
 import bigstep
 from bigstep import lang_extwhile, lang_fun, lang_while
+from bigstep.imp_syntax import ANum, Call, Seq, Skip
 from bigstep.lang_extwhile import ExtState
 from bigstep.lang_while import WhileState
+from bigstep.random_programs import random_corpus
+from bigstep.syntax import Node
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(bigstep.__file__)))
 
@@ -133,3 +138,150 @@ def test_ext_state_writes_match_rebuild(names, heap, key, loc, value):
     # The half a write does not touch is shared, not rebuilt.
     assert s.with_name(key, value).heap is s.heap
     assert s.with_loc(loc, value).names is s.names
+
+
+# ---------------------------------------------------------------------------
+# Deep terms: hashing and comparison never recurse on nesting depth
+# ---------------------------------------------------------------------------
+
+# (child script, what it prints).  A child exits 139 (SIGSEGV) where a
+# first hash or a comparison recurses through C frames on the term's depth.
+_DEEP_TERMS = {
+    "separately-parsed-fun-lists": (r"""
+from bigstep import lang_fun
+src = " :: ".join(["1"] * 20000) + " :: nil"
+a, b = lang_fun.parse_expr(src), lang_fun.parse_expr(src)
+c = lang_fun.parse_expr(src.replace("1 :: nil", "2 :: nil"))
+print(a == b, a == c, hash(a) == hash(b), a == b, a == c)
+""", "True False True True False"),
+    "cfm-of-list-lists": (r"""
+from bigstep import spec_lib
+a = spec_lib.cfm_of_list([1] * 20000)
+b = spec_lib.cfm_of_list([1] * 20000)
+c = spec_lib.cfm_of_list([1] * 19999 + [2])
+print(hash(a) == hash(b), a == b, a == c, {a: 1}[b] == 1, b in {c})
+""", "True True False True False"),
+    "python-built-statement-as-dict-key": (r"""
+from bigstep.imp_syntax import ABin, AName, ANum, Assign, Seq, Skip
+def build(n):
+    e = AName("x")
+    for i in range(n):
+        e = ABin("+", e, ANum(i))
+    s = Skip()
+    for i in range(n):
+        s = Seq(Assign("x", e if i == 0 else ANum(i)), s)
+    return s
+table = {build(20000): "hit"}
+print(table[build(20000)] == "hit", build(20000) in {build(19999)},
+      build(20000) == build(20000))
+""", "True False True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEEP_TERMS))
+def test_twenty_thousand_deep_terms_hash_and_compare(case):
+    script, expected = _DEEP_TERMS[case]
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == expected
+
+
+class _Hashed:
+    """Stands for a node whose hash is `value` inside a field tuple."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def test_shared_deep_term_hashes_each_distinct_node_once(monkeypatch):
+    # 300 distinct nodes, 2**300 paths: a walk that follows every path to
+    # a shared subterm never ends.
+    field_hash = lang_fun.FBin._field_hash
+    calls = []
+
+    def counted(node):
+        calls.append(node)
+        return field_hash(node)
+
+    monkeypatch.setattr(lang_fun.FBin, "_field_hash", counted)
+    t = lang_fun.FNum(1)
+    expected = hash(t)
+    for _ in range(300):
+        t = lang_fun.FBin("+", t, t)
+        expected = hash(("+", _Hashed(expected), _Hashed(expected)))
+    assert hash(t) == expected
+    assert len(calls) == 300 and len({id(n) for n in calls}) == 300
+
+
+def _fun_list(n, last):
+    """`1 :: 1 :: ... :: last :: nil`, n cells."""
+    out = lang_fun.FCons(last, lang_fun.FNil())
+    for _ in range(n - 1):
+        out = lang_fun.FCons(lang_fun.FNum(1), out)
+    return out
+
+
+def _skips_then(n, last):
+    """`skip ; skip ; ... ; last`, n skips."""
+    for _ in range(n):
+        last = Seq(Skip(), last)
+    return last
+
+
+def _call(*args):
+    return Call("f", tuple(ANum(a) for a in args), ("x",))
+
+
+# Pairs 500 deep, past the depth where comparison leaves the dataclass code
+# for an explicit stack; the bottom differs in value, class or length.
+_DEEP_PAIRS = [
+    (_fun_list(500, lang_fun.FNum(1)), _fun_list(500, lang_fun.FNum(1)), True),
+    (_fun_list(500, lang_fun.FNum(1)), _fun_list(500, lang_fun.FNum(2)),
+     False),
+    (_fun_list(500, lang_fun.FNum(1)), _fun_list(500, lang_fun.FBool(True)),
+     False),
+    (_fun_list(500, lang_fun.FNum(1)), _fun_list(499, lang_fun.FNum(1)),
+     False),
+    (_skips_then(500, _call(1)), _skips_then(500, _call(1)), True),
+    (_skips_then(500, _call(1)), _skips_then(500, _call(2)), False),
+    (_skips_then(500, _call(1)), _skips_then(500, _call(1, 1)), False),
+]
+
+
+@pytest.mark.parametrize("hashed", [False, True])
+@pytest.mark.parametrize("a,b,equal", _DEEP_PAIRS)
+def test_deep_comparison_agrees_with_the_shallow_one(a, b, equal, hashed):
+    a, b = copy.deepcopy(a), copy.deepcopy(b)  # fresh, unhashed nodes
+    if hashed:
+        hash(a), hash(b)
+    assert (a == b) is equal and (a != b) is not equal
+    assert (b == a) is equal
+
+
+def _nodes(root):
+    """Every node under `root`, tuples walked into."""
+    stack, out = [root], []
+    while stack:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            stack.extend(x)
+        elif isinstance(x, Node):
+            out.append(x)
+            stack.extend(getattr(x, f.name) for f in fields(x))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["while", "extwhile", "fun"]), st.integers(0, 999))
+def test_node_hash_is_the_field_tuple_hash(lang, seed):
+    (term,) = random_corpus(lang, 1, seed)
+    assert hash(term) == hash(tuple(getattr(term, f.name)
+                                    for f in fields(term)))
+    for node in _nodes(term):
+        assert hash(node) == hash(tuple(getattr(node, f.name)
+                                        for f in fields(node)))

@@ -15,8 +15,10 @@ from bigstep.kernel import (Constrained, FAIL, PASS, SampleBudget, UNIVERSE,
 from bigstep.lang_extwhile import ExtState, PLUGIN as EXTWHILE
 from bigstep.lang_fun import FCons, FNil, FNum, FVar, PLUGIN as FUN
 from bigstep.lang_while import PLUGIN as WHILE
-from bigstep.spec_lib import (MERGE_PROGRAM, SPECS, W_MG, cfm_of_list,
-                              elems, fac_corpus, list_of_lstcfm,
+from bigstep.lang_extwhile import Seq, While, parse_stmt
+from bigstep.spec_lib import (MERGE_BODY, MERGE_PROGRAM, SPECS, TAIL_I,
+                              TAIL_I_SRC, TAIL_J, TAIL_J_SRC, W_MG, W_MG_SRC,
+                              cfm_of_list, elems, fac_corpus, list_of_lstcfm,
                               merge_call_config, merge_expr, mglist_corpus,
                               msort_corpus, occ, occ_add, preserved, sep,
                               sorted_list, spec_fac, spec_fac_bad,
@@ -134,6 +136,21 @@ def test_msort_samplers_satisfy_their_own_sets():
         sset = spec.at(l, gamma)
         samples = sset.sample(B)
         assert samples and all(sset.contains(s) for s in samples)
+
+
+def test_msort_loop_constants_are_the_merge_body_loops():
+    # The spec matches loop configurations by identity first: a constant
+    # parsed apart from MERGE_BODY would compare whole loop trees instead.
+    stmts, s = [], MERGE_BODY
+    while isinstance(s, Seq):
+        stmts.append(s.first)
+        s = s.second
+    loops = [x for x in stmts + [s] if isinstance(x, While)]
+    assert len(loops) == 3
+    assert loops[0] is W_MG and loops[1] is TAIL_I and loops[2] is TAIL_J
+    assert W_MG == parse_stmt(W_MG_SRC)
+    assert TAIL_I == parse_stmt(TAIL_I_SRC)
+    assert TAIL_J == parse_stmt(TAIL_J_SRC)
 
 
 def test_msort_loop_entry_accepts_real_exit_and_rejects_corruption():
