@@ -42,40 +42,24 @@ class CliError(Exception):
 
 
 def _parse_range(text: str) -> list[int]:
-    """'1..6' -> [1,...,6]; '3' -> [3]; '1,2,5' -> [1,2,5]."""
+    """'1..6' -> [1,...,6]; '3' -> [3]; '1,2,5' -> [1,2,5]; never empty."""
     text = text.strip()
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        if "," in text:
-            return [int(p) for p in text.split(",")]
-        return [int(text)]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise CliError("bad range %r: %s" % (text, exc)) from exc
-
-
-def _env_int(name: str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise CliError("%s must be an integer, got %r" % (name, raw)) from exc
+    if not values:
+        raise CliError("empty range %r" % text)
+    return values
 
 
 def _budget(args) -> SampleBudget:
-    depth = _env_int("BIGSTEP_DEPTH")
-    samples = _env_int("BIGSTEP_SAMPLES")
-    if args.depth is not None:
-        depth = args.depth
-    if args.samples is not None:
-        samples = args.samples
     try:
-        return SampleBudget(max_depth=depth if depth is not None else 64,
-                            max_samples=samples if samples is not None else 8,
-                            seed=args.seed)
+        return SampleBudget(args.depth, args.samples, args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -89,7 +73,7 @@ def _plugin(args):
 
 def _resolve_spec(args, budget) -> Specification:
     name = args.spec
-    if name in (None, "none", "trivial"):
+    if name == "none":
         return trivial_spec()
     if name == "star":
         return star_spec(_plugin(args), budget)
@@ -103,11 +87,15 @@ def _resolve_spec(args, budget) -> Specification:
                        % (name, lang, args.lang))
     spec = factory()
     if args.param is not None:
-        domain = []
-        for p in args.param.split(","):
-            p = p.strip()
-            domain.append(None if p == "none" else int(p))
-        spec = Specification(tuple(domain), spec.at)
+        try:
+            domain = tuple(None if p.strip() == "none" else int(p)
+                           for p in args.param.split(","))
+        except ValueError as exc:
+            raise CliError("bad --param %r: %s" % (args.param, exc)) from exc
+        if not set(domain) <= set(spec.param_domain):
+            raise CliError("bad --param %r: the domain of %r is %r"
+                           % (args.param, name, spec.param_domain))
+        spec = Specification(domain, spec.at)
     return spec
 
 
@@ -119,7 +107,7 @@ def _config_text(args) -> str | None:
                 parts.append(fh.read().strip())
         except OSError as exc:
             raise CliError("cannot read %s: %s" % (args.program, exc)) from exc
-    if getattr(args, "config", None):
+    if args.config:
         parts.append(args.config)
     if not parts:
         return None
@@ -130,6 +118,9 @@ def _config_text(args) -> str | None:
 
 
 def _corpus(args, plugin, budget) -> list:
+    count = args.count
+    if count is not None and count < 1:
+        raise CliError("--count must be at least 1, got %d" % count)
     text = _config_text(args)
     if text is not None:
         try:
@@ -137,14 +128,13 @@ def _corpus(args, plugin, budget) -> list:
         except ParseError as exc:
             raise CliError("parse error: %s" % exc) from exc
     name = args.spec
-    count = args.count
     if name in ("fac", "fac-bad"):
         return spec_lib.fac_corpus(_parse_range(args.m or "1..6"))
     if name in ("msort", "msort-nosort"):
         return spec_lib.msort_corpus(count or 8, budget.seed)
     if name in ("mglist", "mglist-len"):
         return spec_lib.mglist_corpus(count or 8, budget.seed)
-    if name == "star" or name in (None, "none", "trivial"):
+    if name in ("star", "none"):
         return random_programs.loop_free_corpus(args.lang, count or 50,
                                                 budget.seed)
     raise CliError("no default corpus for spec %r; pass --program/--config"
@@ -159,10 +149,10 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _base_doc(args, budget, command: str) -> dict:
+def _base_doc(args, budget) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "budget": {"depth": budget.max_depth, "samples": budget.max_samples,
                    "seed": budget.seed},
     }
@@ -183,7 +173,7 @@ def cmd_run(args) -> int:
     except ParseError as exc:
         raise CliError("parse error: %s" % exc) from exc
     results, exhausted = derive_all(plugin, gamma, budget)
-    doc = _base_doc(args, budget, args.command)
+    doc = _base_doc(args, budget)
     doc["results"] = [plugin.pretty(r) for r in results]
     if results:
         doc["status"], code = "result", EXIT_PASS
@@ -220,7 +210,7 @@ def cmd_check(args) -> int:
 
 def _report_exit(args, budget, plugin, report: CheckReport,
                  corpus_size: int) -> int:
-    doc = _base_doc(args, budget, args.command)
+    doc = _base_doc(args, budget)
     doc.update(report.to_dict(plugin))
     doc["stats"] = dict(report.stats, corpus_size=corpus_size)
     lines = ["status: %s" % report.status,
@@ -256,9 +246,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="language plugin: while | extwhile | fun")
         p.add_argument("--spec", default=None,
                        help="bundled spec name, 'star', or 'none'")
-        p.add_argument("--depth", type=int, default=None,
+        # A string default goes through `type` too, so a bad environment
+        # value is a usage error like a bad flag.
+        p.add_argument("--depth", type=int,
+                       default=os.environ.get("BIGSTEP_DEPTH", "64"),
                        help="max derivation depth (env BIGSTEP_DEPTH)")
-        p.add_argument("--samples", type=int, default=None,
+        p.add_argument("--samples", type=int,
+                       default=os.environ.get("BIGSTEP_SAMPLES", "8"),
                        help="max samples per spec set (env BIGSTEP_SAMPLES)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "json"), default="text")

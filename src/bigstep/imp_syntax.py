@@ -178,7 +178,7 @@ def _parse_batom(t: Tokens) -> BExp:
     if t.accept("not"):
         return BNot(_parse_batom(t))
     # Comparison first; fall back to a parenthesized boolean expression.
-    mark = t.save()
+    mark = t.i
     try:
         left = _parse_aexp(t)
         if t.peek() in ("=", "<", "<="):
@@ -190,7 +190,7 @@ def _parse_batom(t: Tokens) -> BExp:
             return BCmp(op, left, right)
         raise ParseError("not a comparison")
     except ParseError:
-        t.restore(mark)
+        t.i = mark
     t.eat("(")
     node = _parse_bexp(t)
     t.eat(")")

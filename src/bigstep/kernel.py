@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from .syntax import Node, hash_once
+
 # Derivations are walked on an explicit stack, so their height is bounded by
 # the depth budget alone.  Terms are still walked recursively on their
 # nesting depth (the parsers, lang_fun's occurrence sets, canonical-form
@@ -69,7 +71,6 @@ class LanguagePlugin:
     name: str
     rules: Callable[[Config], list]
     parse_config: Callable[[str], Config]
-    parse_result: Callable[[str], ResultConfig]
     pretty: Callable[[Any], str]
 
 
@@ -230,8 +231,8 @@ def _walk(plugin, gamma, depth, policy, visit=None, spec=None, param=None,
     # is what an exhausted entry stores.  Agenda items are continuations
     # (app, steps, rule index) and resume points (need, steps, rule index,
     # candidates, next position) that feed a premise's next candidate
-    # result to `need.rest`; `steps` are the PremiseSteps taken so far
-    # (spec policy only).  `out` maps each result to its InferTrace (spec)
+    # result to `need.rest`; `steps` are the PremiseSteps taken so far and
+    # candidates are (result, sub-trace or None) pairs (spec policy only).  `out` maps each result to its InferTrace (spec)
     # or None (all), in first-found order; the first policy keeps its one
     # result there instead.  `waiting` is the (need, steps, rule index) of
     # the premise being derived below.  Suspended frames are saved on
@@ -295,8 +296,7 @@ def _walk(plugin, gamma, depth, policy, visit=None, spec=None, param=None,
                     exhausted = exhausted or ex
                     if h >= height:
                         height = h + 1
-                    cands = ([(r, "inferred", t) for r, t in sub.items()]
-                             if infer else sub)
+                    cands = list(sub.items()) if infer else sub
                 if cands:
                     agenda.append(waiting + (cands, 0))
                 value = _OPEN
@@ -311,8 +311,8 @@ def _walk(plugin, gamma, depth, policy, visit=None, spec=None, param=None,
                             agenda.append((need, steps, idx, cands, pos + 1))
                         r = cands[pos]
                         if infer:
-                            r, via, sub = r
-                            steps += (PremiseStep(need.premise, r, via, sub),)
+                            r, sub = r
+                            steps += (PremiseStep(need.premise, r, sub),)
                         cont = need.rest(r)
                         if cont is not None:
                             agenda.append((cont, steps, idx))
@@ -372,7 +372,7 @@ def _sampled(sset, budget, extra, premise) -> list:
         for c in source:
             if c not in seen and sset.contains(c):
                 seen.add(c)
-                cands.append((c, "sampled", None))
+                cands.append((c, None))
 
     add(sset.sample(budget))
     if extra is not None:
@@ -413,19 +413,20 @@ def derive_one(plugin: LanguagePlugin, gamma: Config,
 # Specification-aware inference
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PremiseStep:
-    """One premise of an applied rule instance, and how its result arose."""
+@hash_once
+class PremiseStep(Node):
+    """One premise of an applied rule instance and its result: inferred
+    by the trace `sub`, or sampled from the spec when `sub` is None."""
 
     config: Config
     result: ResultConfig
-    via: str  # "inferred" | "sampled"
     sub: Optional["InferTrace"]
 
 
-@dataclass(frozen=True)
-class InferTrace:
-    """A completed rule instance: enough to replay the inferred result."""
+@hash_once
+class InferTrace(Node):
+    """A completed rule instance: enough to replay the inferred result.
+    A `Node`, so hashing and comparing a derivation-deep trace is safe."""
 
     config: Config
     result: ResultConfig
@@ -467,9 +468,9 @@ def replay_trace(plugin: LanguagePlugin,
     for step in trace.premises:
         if not isinstance(app, Need) or app.premise != step.config:
             return None
-        if step.via == "inferred":
-            if step.sub is None or replay_trace(plugin, step.sub) != step.result:
-                return None
+        if step.sub is not None \
+                and replay_trace(plugin, step.sub) != step.result:
+            return None
         app = app.rest(step.result)
         if app is None:
             return None
@@ -541,7 +542,7 @@ def _trace_dict(pretty, trace):
             {
                 "config": pretty(s.config),
                 "result": pretty(s.result),
-                "via": s.via,
+                "via": "sampled" if s.sub is None else "inferred",
                 "sub": _trace_dict(pretty, s.sub),
             }
             for s in trace.premises
@@ -581,8 +582,7 @@ def _targets(plugin, spec, param, corpus, reachable):
 # Checkers
 # ---------------------------------------------------------------------------
 
-def check_verif(plugin, spec, corpus, budget,
-                extra_sampler=None) -> CheckReport:
+def check_verif(plugin, spec, corpus, budget) -> CheckReport:
     """Empirical check of the verification condition.
 
     For every parameter value and every constrained configuration reachable
@@ -592,18 +592,16 @@ def check_verif(plugin, spec, corpus, budget,
     """
     corpus = list(corpus)
     return _check_verif(plugin, spec, corpus, budget,
-                        _reachable(plugin, corpus, budget), extra_sampler)
+                        _reachable(plugin, corpus, budget))
 
 
-def _check_verif(plugin, spec, corpus, budget, reachable,
-                 extra_sampler=None) -> CheckReport:
+def _check_verif(plugin, spec, corpus, budget, reachable) -> CheckReport:
     cexs: list = []
     exhausted = False
     checked = inferred_total = 0
     for param in spec.param_domain:
         for gamma, sset in _targets(plugin, spec, param, corpus, reachable):
-            traced, ex = infer_results(plugin, spec, param, gamma, budget,
-                                       extra_sampler)
+            traced, ex = infer_results(plugin, spec, param, gamma, budget)
             exhausted = exhausted or ex
             checked += 1
             inferred_total += len(traced)
@@ -636,10 +634,8 @@ def check_valid(plugin, spec, corpus, budget) -> CheckReport:
                 # coincides with derivation.
                 traced, _ = infer_results(plugin, triv, None, gamma, budget)
                 for r in bad:
-                    cexs.append(Counterexample(
-                        param, gamma, r,
-                        getattr(sset, "describe", UNIVERSE.describe),
-                        traced.get(r)))
+                    cexs.append(Counterexample(param, gamma, r, sset.describe,
+                                               traced.get(r)))
     stats = {"configs_checked": checked, "results_inferred": derived_total,
              "depth_hit": exhausted}
     return _report(cexs, exhausted, stats)
@@ -737,9 +733,8 @@ def spec_refines(s1: Specification, s2: Specification, corpus,
                     continue
                 sampled_total += 1
                 if not set1.contains(c):
-                    cexs.append(Counterexample(
-                        param, gamma, c,
-                        getattr(set1, "describe", UNIVERSE.describe), None))
+                    cexs.append(Counterexample(param, gamma, c,
+                                               set1.describe, None))
     stats = {"configs_checked": checked, "results_inferred": sampled_total,
              "depth_hit": False}
     return _report(cexs, False, stats)

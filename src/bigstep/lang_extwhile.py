@@ -373,6 +373,5 @@ PLUGIN = LanguagePlugin(
     name="extwhile",
     rules=ext_rules,
     parse_config=parse_config,
-    parse_result=parse_state,
     pretty=pretty,
 )

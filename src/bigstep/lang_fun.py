@@ -489,14 +489,9 @@ def print_expr(e: FExpr) -> str:
                 v, print_expr(bound), print_expr(body))
 
 
-def pretty(value) -> str:
-    return print_expr(value)
-
-
 PLUGIN = LanguagePlugin(
     name="fun",
     rules=fun_rules,
     parse_config=parse_expr,
-    parse_result=parse_expr,
-    pretty=pretty,
+    pretty=print_expr,
 )

@@ -170,6 +170,5 @@ PLUGIN = LanguagePlugin(
     name="while",
     rules=while_rules,
     parse_config=parse_config,
-    parse_result=parse_state,
     pretty=pretty,
 )

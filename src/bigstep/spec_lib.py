@@ -360,8 +360,8 @@ def _msort_spec(*, drop_sorted_in_loop: bool) -> Specification:
                            "merging-loop exit states from "
                            "i=%d, j=%d, k=%d" % (i, j, k))
 
-    def tail_entry(gamma: ew.ExtConfig, l: int, scan: str, stop: str):
-        # scan/stop: ("i","m") for the second loop, ("j","n") for the third.
+    def tail_entry(gamma: ew.ExtConfig, l: int, scan: str):
+        # scan: "i" for the second loop, "j" for the third.
         st = gamma.state
         vals = {v: st.name(v) for v in ("i", "j", "k", "m", "n")}
         if any(v is None for v in vals.values()):
@@ -416,9 +416,9 @@ def _msort_spec(*, drop_sorted_in_loop: bool) -> Specification:
         if stmt == W_MG:
             return loop_entry(gamma, l)
         if stmt == TAIL_I:
-            return tail_entry(gamma, l, "i", "m")
+            return tail_entry(gamma, l, "i")
         if stmt == TAIL_J:
-            return tail_entry(gamma, l, "j", "n")
+            return tail_entry(gamma, l, "j")
         return UNIVERSE
 
     return Specification((0, 1, 2), at)
@@ -447,16 +447,13 @@ def merge_call_config(l: int, frag1: list, frag2: list) -> ew.ExtConfig:
     return ew.ExtConfig(stmt, state, MERGE_PROGRAM)
 
 
-def msort_corpus(count: int, seed: int, l_values=(0, 1, 2),
-                 max_len: int = 5) -> list:
+def msort_corpus(count: int, seed: int) -> list:
     rng = seeded_rng(seed, "msort-corpus", count)
     corpus = []
     for _ in range(count):
-        l = rng.choice(list(l_values))
-        frag1 = sorted(rng.randint(-3, 3)
-                       for _ in range(rng.randint(1, max_len)))
-        frag2 = sorted(rng.randint(-3, 3)
-                       for _ in range(rng.randint(1, max_len)))
+        l = rng.choice((0, 1, 2))
+        frag1 = sorted(rng.randint(-3, 3) for _ in range(rng.randint(1, 5)))
+        frag2 = sorted(rng.randint(-3, 3) for _ in range(rng.randint(1, 5)))
         corpus.append(merge_call_config(l, frag1, frag2))
     return corpus
 

@@ -10,11 +10,12 @@ from dataclasses import dataclass, fields
 
 
 # Past this nesting depth, a node's first hash and its comparison with a
-# distinct node run from an explicit stack, not through the dataclass code,
-# whose calls recurse through C frames that no recursion limit guards.  A
-# level takes two Python frames: well under the default limit of 1,000.
+# distinct node run from an explicit stack, and its repr is cut short, not
+# run through the dataclass code, whose calls recurse through C frames that
+# no recursion limit guards.  A level takes two Python frames: well under
+# the default limit of 1,000.
 _MAX_NESTING = 200
-_nesting = 0  # open Node.__hash__/__eq__ calls, counted for one thread
+_nesting = 0  # open Node.__hash__/__eq__/__repr__ calls, for one thread
 
 
 class Node:
@@ -27,7 +28,9 @@ class Node:
     modular hash-consing", ML Workshop 2006).  The value is the one the
     plain dataclass computes, so hash-ordered containers behave as before.
     Equality is the dataclass's, short-circuited on identity and on cached
-    hashes that differ.  Both are safe on terms of any nesting depth.
+    hashes that differ.  Both are safe on terms of any nesting depth, and
+    so is `repr`, which prints a node nested past `_MAX_NESTING` as
+    `Class(...)`.
     """
 
     __slots__ = ("_hash",)
@@ -67,6 +70,16 @@ class Node:
         finally:
             _nesting -= 1
 
+    def __repr__(self):
+        global _nesting
+        if _nesting >= _MAX_NESTING:
+            return self.__class__.__qualname__ + "(...)"
+        _nesting += 1
+        try:
+            return self._field_repr()
+        finally:
+            _nesting -= 1
+
     def __setstate__(self, state):
         # Copies and unpickled nodes start with empty caches: a hash built
         # from `str` hashes is stale under another PYTHONHASHSEED.
@@ -83,11 +96,12 @@ set_hash = Node._hash.__set__
 
 def hash_once(cls):
     """Make `cls`, a `Node` subclass, a slotted frozen dataclass whose hash
-    is computed at most once.  `__match_args__` and `repr` are the
-    dataclass's own."""
+    is computed at most once.  `__match_args__` is the dataclass's own."""
     cls = dataclass(frozen=True, slots=True)(cls)
     cls._field_hash, cls._field_eq = cls.__hash__, cls.__eq__
+    cls._field_repr = cls.__repr__
     cls.__hash__, cls.__eq__ = Node.__hash__, Node.__eq__
+    cls.__repr__ = Node.__repr__
     cls.__setstate__ = Node.__setstate__
     return cls
 
@@ -149,7 +163,7 @@ class ParseError(Exception):
 
 
 class Tokens:
-    """A token cursor with save/restore for cheap backtracking."""
+    """A token cursor; saving and resetting `i` backtracks."""
 
     def __init__(self, src: str, symbols: list[str], keywords: set[str],
                  ident_extra: str = ""):
@@ -238,9 +252,3 @@ class Tokens:
     def expect_end(self):
         if not self.at_end():
             raise ParseError("trailing input %r" % self.peek(), self.pos())
-
-    def save(self):
-        return self.i
-
-    def restore(self, mark):
-        self.i = mark

@@ -87,6 +87,33 @@ def test_unknown_spec_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("lang,spec,param", [
+    ("while", "fac", "abc"),
+    ("while", "fac", "1"),  # fac takes only `none`
+    ("extwhile", "msort", "0,9"),
+])
+def test_bad_param_value_exits_two(capsys, lang, spec, param):
+    code, out, err = run_cli(capsys, "check-verif", "--lang", lang,
+                             "--spec", spec, "--param", param, "--count", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad --param %r: " % param)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_count_below_one_exits_two(capsys, count):
+    code, out, err = run_cli(capsys, "star-check", "--lang", "while",
+                             "--count", count)
+    assert code == 2 and out == ""
+    assert err.strip() == "error: --count must be at least 1, got %s" % count
+
+
+def test_empty_m_range_exits_two(capsys):
+    code, out, err = run_cli(capsys, "check-verif", "--lang", "while",
+                             "--spec", "fac", "--m", "3..1")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: empty range '3..1'"
+
+
 def test_check_verif_pass_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "check-verif", "--lang", "while",
                            "--spec", "fac", "--m", "1..4",

@@ -137,17 +137,17 @@ def ref_infer(plugin, spec, param, gamma, budget, depth, extra):
             for c in sset.sample(budget):
                 if c not in seen and sset.contains(c):
                     seen.add(c)
-                    cands.append((c, "sampled", None))
+                    cands.append((c, None))
             if extra is not None:
                 for c in extra(premise):
                     if c not in seen and sset.contains(c):
                         seen.add(c)
-                        cands.append((c, "sampled", None))
+                        cands.append((c, None))
             return cands
         sub, ex = ref_infer(plugin, spec, param, premise, budget, depth - 1,
                             extra)
         exhausted = exhausted or ex
-        return [(r, "inferred", t) for r, t in sub.items()]
+        return list(sub.items())
 
     def walk(app, steps, idx):
         if isinstance(app, Conclude):
@@ -155,11 +155,10 @@ def ref_infer(plugin, spec, param, gamma, budget, depth, extra):
                 out[app.result] = InferTrace(gamma, app.result, idx,
                                              tuple(steps))
             return
-        for r, via, sub in candidates(app.premise):
+        for r, sub in candidates(app.premise):
             cont = app.rest(r)
             if cont is not None:
-                walk(cont, steps + [PremiseStep(app.premise, r, via, sub)],
-                     idx)
+                walk(cont, steps + [PremiseStep(app.premise, r, sub)], idx)
 
     for i, app in enumerate(apps):
         walk(app, [], i)
@@ -302,7 +301,7 @@ def choice_rules(n):
     ]
 
 
-CHOICE = LanguagePlugin("choice", choice_rules, int, int, str)
+CHOICE = LanguagePlugin("choice", choice_rules, int, str)
 
 
 def spec_choice_odd_sampled():

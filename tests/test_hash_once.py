@@ -1,7 +1,8 @@
 """Hash-once nodes: copies and pickles of terms, states and configurations
 of every language stay equal, hashable and usable as dict keys, even when
 unpickled under another hash seed; state writes match a full rebuild; a
-node hashes as its field tuple, and terms of any depth hash and compare."""
+node hashes as its field tuple and prints as the dataclass repr; terms and
+inference traces of any depth hash, compare and print."""
 
 import copy
 import os
@@ -285,3 +286,73 @@ def test_node_hash_is_the_field_tuple_hash(lang, seed):
     for node in _nodes(term):
         assert hash(node) == hash(tuple(getattr(node, f.name)
                                         for f in fields(node)))
+
+
+def _dataclass_repr(x):
+    """The plain dataclass repr of `x`, built without calling any node's
+    `__repr__`."""
+    if isinstance(x, Node):
+        return "%s(%s)" % (x.__class__.__qualname__, ", ".join(
+            "%s=%s" % (f.name, _dataclass_repr(getattr(x, f.name)))
+            for f in fields(x)))
+    if isinstance(x, tuple):
+        items = [_dataclass_repr(y) for y in x]
+        return "(%s,)" % items[0] if len(items) == 1 else \
+            "(%s)" % ", ".join(items)
+    return repr(x)
+
+
+def test_shallow_node_repr_is_the_dataclass_repr():
+    assert repr(lang_fun.parse_expr("1 :: nil")) == \
+        "FCons(head=FNum(value=1), tail=FNil())"
+    assert repr(lang_while.parse_config("x := 1 || y=2")) == (
+        "WhileConfig(stmt=Assign(var='x', expr=ANum(value=1)), "
+        "state=WhileState(bindings=(('y', 2),)))")
+    deep = _fun_list(150, lang_fun.FNum(2))  # under the cutoff
+    assert repr(deep) == _dataclass_repr(deep) and "..." not in repr(deep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["while", "extwhile", "fun"]), st.integers(0, 999))
+def test_node_repr_is_the_dataclass_repr(lang, seed):
+    (config,) = random_corpus(lang, 1, seed)
+    assert repr(config) == _dataclass_repr(config)
+
+
+def test_twenty_thousand_deep_term_repr_is_cut_short():
+    script = r"""
+from bigstep import lang_fun
+text = repr(lang_fun.parse_expr(" :: ".join(["1"] * 20000) + " :: nil"))
+cell = "FCons(head=FNum(value=1), tail="
+print(text == cell * 199 + "FCons(head=FNum(...), tail=FCons(...))"
+      + ")" * 199)
+"""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "True"
+
+
+def test_twenty_thousand_iteration_inference_trace_hashes_compares_replays():
+    # The trace nests as deep as the derivation; both inferences build
+    # their own configurations, so `==` compares every level.
+    script = r"""
+from bigstep import (PLUGINS, SampleBudget, infer_results, replay_trace,
+                     trivial_spec)
+plugin = PLUGINS["while"]
+config = plugin.parse_config("while 0 < x do x := x - 1 || x=20000")
+def infer():
+    (pair,) = infer_results(plugin, trivial_spec(), None, config,
+                            SampleBudget(max_depth=100000))[0].items()
+    return pair
+(result, a), (_, b) = infer(), infer()
+shorter = a.premises[-1].sub  # the trace of the loop's next iteration
+print(hash(a) == hash(b), a == b, {a: "hit"}[b], a == shorter,
+      replay_trace(plugin, a) == result, "InferTrace(...)" in repr(a))
+"""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "True True hit False True True"
