@@ -71,12 +71,12 @@ def _plugin(args):
     return PLUGINS[args.lang]
 
 
-def _resolve_spec(args, budget) -> Specification:
-    name = args.spec
-    if name == "none":
-        return trivial_spec()
-    if name == "star":
-        return star_spec(_plugin(args), budget)
+def _resolve_spec(args, budget, name) -> Specification:
+    if name in ("none", "star"):
+        if args.param is not None:
+            raise CliError("--param is not read by spec %r" % name)
+        return (trivial_spec() if name == "none"
+                else star_spec(_plugin(args), budget))
     entry = spec_lib.SPECS.get(name)
     if entry is None:
         raise CliError("unknown spec %r (choose from %s, star, none)"
@@ -110,6 +110,9 @@ def _config_text(args) -> str | None:
     if args.config:
         parts.append(args.config)
     if not parts:
+        if args.state is not None:
+            raise CliError("--state is not read without --program or "
+                           "--config")
         return None
     text = " || ".join(parts)
     if args.state is not None:
@@ -122,13 +125,20 @@ def _corpus(args, plugin, budget) -> list:
     if count is not None and count < 1:
         raise CliError("--count must be at least 1, got %d" % count)
     text = _config_text(args)
+    name = args.spec
+    fac = name in ("fac", "fac-bad")
+    where = ("with --program or --config" if text is not None
+             else "by the %r corpus" % name)
+    for flag, value, read in (("--m", args.m, fac),
+                              ("--count", count, not fac)):
+        if value is not None and (text is not None or not read):
+            raise CliError("%s is not read %s" % (flag, where))
     if text is not None:
         try:
             return [plugin.parse_config(text)]
         except ParseError as exc:
             raise CliError("parse error: %s" % exc) from exc
-    name = args.spec
-    if name in ("fac", "fac-bad"):
+    if fac:
         return spec_lib.fac_corpus(_parse_range(args.m or "1..6"))
     if name in ("msort", "msort-nosort"):
         return spec_lib.msort_corpus(count or 8, budget.seed)
@@ -163,6 +173,9 @@ def _base_doc(args, budget) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
+    for flag, value in (("--spec", args.spec), ("--param", args.param)):
+        if value is not None:
+            raise CliError("%s is not read by %s" % (flag, args.command))
     plugin = _plugin(args)
     budget = _budget(args)
     text = _config_text(args)
@@ -193,13 +206,16 @@ def cmd_check(args) -> int:
     plugin = _plugin(args)
     budget = _budget(args)
     if args.command == "star-check":
-        spec, checker = star_spec(plugin, budget), check_verif
-        if args.spec is None:
-            args.spec = "star"
+        spec, checker = _resolve_spec(args, budget, "star"), check_verif
+        if args.spec is not None:
+            # Here --spec only picks the corpus, but it must name a spec
+            # that fits --lang.
+            _resolve_spec(args, budget, args.spec)
+        args.spec = args.spec or "star"
     elif args.spec is None:
         raise CliError("%s needs --spec" % args.command)
     else:
-        spec = _resolve_spec(args, budget)
+        spec = _resolve_spec(args, budget, args.spec)
         checker = {"check-valid": check_valid,
                    "check-verif": check_verif,
                    "crosscheck": check_soundness_crosscheck}[args.command]

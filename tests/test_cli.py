@@ -1,16 +1,18 @@
 """Command-line front end: every exit code is reachable, structured output
 is deterministic, and environment variables override budget flags."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import bigstep
-from bigstep.cli import main
+from bigstep.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +83,16 @@ def test_incompatible_spec_language_exits_two(capsys):
     assert "language" in err
 
 
+def test_star_check_corpus_spec_of_another_language_exits_two(capsys):
+    # star-check reads --spec for its corpus only, and that corpus must
+    # still be in the language of --lang.
+    code, out, err = run_cli(capsys, "star-check", "--lang", "while",
+                             "--spec", "msort", "--count", "1")
+    assert code == 2 and out == ""
+    assert err.strip() == ("error: spec 'msort' is for language "
+                           "'extwhile', not 'while'")
+
+
 def test_unknown_spec_exits_two(capsys):
     code, _, err = run_cli(capsys, "check-verif", "--lang", "while",
                            "--spec", "nope")
@@ -112,6 +124,89 @@ def test_empty_m_range_exits_two(capsys):
                              "--spec", "fac", "--m", "3..1")
     assert code == 2 and out == ""
     assert err.strip() == "error: empty range '3..1'"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("check-verif", "--lang", "fun", "--spec", "star", "--param", "2",
+      "--count", "1"), "--param is not read by spec 'star'"),
+    (("check-verif", "--lang", "while", "--spec", "none", "--param", "7",
+      "--count", "1"), "--param is not read by spec 'none'"),
+    (("star-check", "--lang", "while", "--param", "2", "--count", "2"),
+     "--param is not read by spec 'star'"),
+    (("check-verif", "--lang", "extwhile", "--spec", "msort", "--m", "1..3",
+      "--count", "1"), "--m is not read by the 'msort' corpus"),
+    (("check-verif", "--lang", "while", "--spec", "fac", "--m", "2",
+      "--count", "3"), "--count is not read by the 'fac' corpus"),
+    (("check-verif", "--lang", "while", "--spec", "fac", "--config",
+      "x := 1", "--count", "5"),
+     "--count is not read with --program or --config"),
+    (("check-verif", "--lang", "while", "--spec", "fac", "--state", "m=3"),
+     "--state is not read without --program or --config"),
+], ids=["star-param", "none-param", "star-check-param", "msort-m",
+        "fac-count", "config-count", "state-alone"])
+def test_flag_the_spec_or_corpus_does_not_read_exits_two(capsys, argv,
+                                                          message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == "error: " + message
+
+
+@pytest.mark.parametrize("command", ["run", "derive"])
+def test_run_and_derive_take_no_spec_flags(capsys, command):
+    code, out, err = run_cli(capsys, command, "--lang", "while", "--config",
+                             "x := 1", "--spec", "fac", "--param", "3")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: --spec is not read by " + command
+    code, _, err = run_cli(capsys, command, "--lang", "while", "--config",
+                           "x := 1", "--param", "3")
+    assert code == 2 and err.strip() == "error: --param is not read by " \
+        + command
+
+
+def test_program_file_with_state(capsys, tmp_path):
+    path = tmp_path / "fac.while"
+    path.write_text("fac := m ; while 1 < m do (m := m - 1 ; "
+                    "fac := fac * m)\n")
+    code, out, _ = run_cli(capsys, "run", "--lang", "while",
+                           "--program", str(path), "--state", "m=4")
+    assert code == 0
+    assert out.strip() == "fac=24, m=1"
+
+
+def test_program_file_of_functions_with_a_call_and_state(capsys, tmp_path):
+    path = tmp_path / "double.ew"
+    path.write_text("fun double(a) returns (r) { r := a + a }\n")
+    code, out, _ = run_cli(capsys, "run", "--lang", "extwhile",
+                           "--program", str(path),
+                           "--config", "call double(x; y)", "--state", "x=21")
+    assert code == 0
+    assert out.strip() == "x=21, y=42, nextloc=0"
+
+
+def test_unreadable_program_file_exits_two(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run", "--lang", "while",
+                             "--program", str(tmp_path / "missing.while"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read ")
+
+
+def test_readme_common_flags_are_the_commands_options():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    sentence = text.split("Common flags: ", 1)[1].split(". ", 1)[0]
+    common, check = ([item.split()[0] for item in re.findall(r"`([^`]+)`",
+                                                              part)]
+                     for part in sentence.split(";"))
+    (subparsers,) = [a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in subparsers.choices.items():
+        options = [opt for action in parser._actions
+                   for opt in action.option_strings
+                   if opt not in ("-h", "--help")]
+        assert options == (common if name in ("run", "derive")
+                           else common + check)
 
 
 def test_check_verif_pass_exits_zero(capsys):

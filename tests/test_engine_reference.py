@@ -32,21 +32,21 @@ def ref_derive(plugin, gamma, depth, visit=None, memo=None):
     """(results, exhausted) of `gamma` within `depth`.
 
     Without `visit`, memoized with the engine's entry rule: `memo` maps a
-    configuration to (results, exhausted, depth), where `depth` is the
-    derivation's height if it is not exhausted, and the budget that cut it
-    if it is.  An entry answers every budget from its height up, or only
-    its own budget if exhausted; a lookup it cannot answer derives again,
-    and its answer replaces the entry unless the answer is cut and the
-    entry complete."""
-    memo = {} if memo is None else memo
+    configuration whose derivation no depth cut to (results, False,
+    height).  An entry answers every budget from its height up; a lookup
+    below it derives again and keeps the entry.  A cut answer is kept only
+    for this call, keyed by configuration and depth, and answers only that
+    depth."""
+    memo = ({} if memo is None else memo, {})
     return _ref_derive(plugin, gamma, depth, visit, memo)[:2]
 
 
 def _ref_derive(plugin, gamma, depth, visit, memo):
     if visit is None:
-        hit = memo.get(gamma)
-        if hit is not None and (hit[2] == depth if hit[1]
-                                else hit[2] <= depth):
+        hit = memo[0].get(gamma)
+        if hit is None or hit[2] > depth:
+            hit = memo[1].get((gamma, depth))
+        if hit is not None:
             return hit
     else:
         visit(gamma)
@@ -54,7 +54,7 @@ def _ref_derive(plugin, gamma, depth, visit, memo):
     if depth <= 0:
         out = ((), bool(apps), 0)
         if visit is None:
-            remember(memo, gamma, out)
+            remember(memo, gamma, depth, out)
         return out
 
     results: list = []
@@ -81,14 +81,15 @@ def _ref_derive(plugin, gamma, depth, visit, memo):
         walk(app)
     out = (tuple(results), exhausted, depth if exhausted else height)
     if visit is None:
-        remember(memo, gamma, out)
+        remember(memo, gamma, depth, out)
     return out
 
 
-def remember(memo, gamma, out):
-    old = memo.get(gamma)
-    if not out[1] or old is None or old[1]:
-        memo[gamma] = out
+def remember(memo, gamma, depth, out):
+    if out[1]:
+        memo[1][gamma, depth] = out
+    else:
+        memo[0][gamma] = out
 
 
 def plain_derive(plugin, gamma, depth):

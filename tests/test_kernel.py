@@ -19,8 +19,8 @@ from bigstep.kernel import (BUDGET_EXHAUSTED, Conclude, Constrained, FAIL,
                             check_valid, check_verif, derive_all, derive_one,
                             infer_results, replay_trace,
                             seeded_rng, spec_refines, star_spec, trivial_spec)
-from bigstep.lang_while import PLUGIN as WHILE, WhileConfig, WhileState, \
-    parse_stmt
+from bigstep.lang_while import PLUGIN as WHILE, While, WhileConfig, \
+    WhileState, parse_stmt
 from bigstep.random_programs import loop_free_corpus, random_corpus
 from bigstep.spec_lib import (fac_corpus, mglist_corpus, msort_corpus,
                               spec_fac, spec_fac_bad)
@@ -91,16 +91,16 @@ def test_plugins_sharing_a_name_never_share_memoized_results():
     assert derive_all(WHILE, g, B)[0] == real
 
 
-def _counted_while():
-    """A copy of the while plugin, so memo entries of its own, that counts
-    its `rules` calls."""
+def _counted(plugin=WHILE):
+    """A copy of the plugin (while by default), so memo entries of its own,
+    that counts its `rules` calls."""
     calls = [0]
 
     def rules(gamma):
         calls[0] += 1
-        return WHILE.rules(gamma)
+        return plugin.rules(gamma)
 
-    return replace(WHILE, rules=rules), calls
+    return replace(plugin, rules=rules), calls
 
 
 def _memo_entries(plugin):
@@ -110,7 +110,7 @@ def _memo_entries(plugin):
 def test_memo_entry_answers_from_its_height_up():
     # x=10 runs ten iterations and a last guard test: height 11.  One entry
     # per configuration: 11 loop configurations and 10 assignments.
-    plugin, calls = _counted_while()
+    plugin, calls = _counted()
     g = wcfg("while 0 < x do x := x - 1", {"x": 10})
     done = ((WhileState.of({}),), False)
 
@@ -133,31 +133,70 @@ def test_memo_entry_answers_from_its_height_up():
     assert _memo_entries(plugin) == 21
 
 
-def test_exhausted_memo_entry_answers_only_its_own_budget():
-    plugin, calls = _counted_while()
+def test_cut_derivation_stores_only_what_it_completed():
+    # At depth 8 the loop at x=k opens at depth k-2 and its assignment at
+    # k-3: the budget cuts every loop configuration and the assignment at
+    # x=3, and the assignments at x=10..4 complete.
+    plugin, calls = _counted()
     g = wcfg("while 0 < x do x := x - 1", {"x": 10})
+
+    def stored():
+        """The x of each stored configuration, none of them a loop."""
+        keys = [key[1] for key in kernel._DERIVE_CACHE if key[0] is plugin]
+        assert not any(isinstance(gamma.stmt, While) for gamma in keys)
+        return sorted(gamma.state.get("x") for gamma in keys)
+
     assert derive_all(plugin, g, SampleBudget(max_depth=8)) == ((), True)
+    assert stored() == list(range(4, 11))
+    # A repeat call derives the cut configurations again (8 loops and the
+    # assignment at x=3) and reads the completed assignments.
     calls[0] = 0
     assert derive_all(plugin, g, SampleBudget(max_depth=8)) == ((), True)
-    assert calls[0] == 0
-    assert derive_all(plugin, g, SampleBudget(max_depth=7)) == ((), True)
-    assert calls[0] > 0
+    assert calls[0] == 9
+    assert stored() == list(range(4, 11))
     assert derive_all(plugin, g, SampleBudget(max_depth=11)) == (
         (WhileState.of({}),), False)
+    assert _memo_entries(plugin) == 21
+
+
+def test_cut_premise_is_derived_once_per_depth_within_a_walk():
+    # Both `if` rules derive the condition `f n` at the same depth, and the
+    # condition recurses into the same configuration.  Rederiving the cut
+    # condition for the second rule would double the work per level; the
+    # walk's own table of cut answers keeps the growth linear in the depth.
+    fun = PLUGINS["fun"]
+    g = fun.parse_config("letrec f = \\n. if f n then 1 else 0 in f 0")
+    counts = []
+    for depth in (20, 30, 40):
+        plugin, calls = _counted(fun)
+        assert derive_all(plugin, g, SampleBudget(max_depth=depth)) == (
+            (), True)
+        # Only the four values evaluated on the way complete.
+        assert _memo_entries(plugin) == 4
+        counts.append(calls[0])
+    assert counts[1] - counts[0] == counts[2] - counts[1] == 10
 
 
 @pytest.mark.parametrize("spec_name", sorted(spec_lib.SPECS))
 def test_check_verif_leaves_the_derivation_memo_alone(spec_name):
-    # Neither the reachable-configuration harvest nor inference reads or
-    # writes the memo, so verification's memory does not grow with it.
+    # Neither the reachable-configuration harvest, `derive_one` nor
+    # inference reads or writes the memo, so verification's memory does not
+    # grow with it.  A copy of the plugin has no memo entries of its own.
     lang, factory = spec_lib.SPECS[spec_name]
+    plugin, spec = replace(PLUGINS[lang]), factory()
     corpus = {"while": lambda: fac_corpus(range(1, 5)),
               "extwhile": lambda: msort_corpus(3, 0),
               "fun": lambda: mglist_corpus(3, 0)}[lang]()
     budget = SampleBudget(max_depth=512, max_samples=4, seed=0)
     before = len(kernel._DERIVE_CACHE)
-    report = check_verif(PLUGINS[lang], factory(), corpus, budget)
+    report = check_verif(plugin, spec, corpus, budget)
     assert report.stats["configs_checked"] > 0
+    for gamma in corpus:
+        assert derive_one(plugin, gamma, budget) is not None
+        assert infer_results(plugin, trivial_spec(), None, gamma, budget)[0]
+        for param in spec.param_domain:
+            infer_results(plugin, spec, param, gamma, budget)
+    assert _memo_entries(plugin) == 0
     assert len(kernel._DERIVE_CACHE) == before
 
 
