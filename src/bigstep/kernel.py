@@ -152,7 +152,12 @@ def seeded_rng(seed: int, *key: object) -> random.Random:
 # The derivation engine
 # ---------------------------------------------------------------------------
 
-# Derivation memo: (plugin, config) -> (results, False, height), one entry
+# Derivation memo shared across walks by the checks that look the same
+# configurations up again (`check_valid`, the crosscheck and the `star`
+# spec, through `_derive_shared`); its entries live as long as the process.
+# Every other derivation (`derive_all`, so `run`, `derive` and the reachable
+# harvest) memoizes on a table of its own, dropped when the walk returns.
+# Either table maps (plugin, config) -> (results, False, height), one entry
 # per configuration, stored only for a derivation that no depth cut.  Such a
 # derivation gives the same results, in the same order, at every budget from
 # its height up, so its entry answers all of them.  A lookup below the
@@ -170,9 +175,10 @@ def _gc_paused(walk):
     returns, so each full collection during a long derivation re-traverses
     a heap that only grows, and the walk's time grows faster than its
     length.  The pause defers no garbage: walks create no reference cycles
-    (reference counting frees what they drop), and cycles a plugin creates
-    are collected once the walk returns.  A caller, or an outer walk, that
-    already turned the collector off keeps it off.
+    (reference counting frees what they drop, the walk's own memo table
+    included, when it returns), and cycles a plugin creates are collected
+    once the walk returns.  A caller, or an outer walk, that already turned
+    the collector off keeps it off.
     """
 
     def paused(*args, **kwargs):
@@ -197,15 +203,17 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None, spec=None,
 
     - "all": every result of the premise; returns (results, exhausted,
       depth), `depth` being the derivation's height if it is not exhausted
-      and the budget it was cut at if it is.  `memo`, when given, keeps
-      each derivation no depth cut, keyed by (plugin, configuration), and
-      answers a lookup from an entry whose height is within the budget;
-      the walk keeps its cut answers in `cut`, keyed by (memo key, depth),
+      and the budget it was cut at if it is.  `memo` keeps each derivation
+      no depth cut, keyed by (plugin, configuration), and answers a lookup
+      from an entry whose height is within the budget; without one, the
+      walk memoizes on a table of its own, dropped when it returns.  The
+      walk keeps its cut answers in `cut`, keyed by (memo key, depth),
       until it returns.  `visit`, when given, is called on every
-      configuration opened, in order.  Heights: a configuration with no
-      rule instance has height 0, an instance with no premise counts 1,
-      and a frame 1 + the largest height of the premises it opened (memo
-      hits at their stored height).
+      configuration opened, in order; a memo hit opens nothing, and within
+      one walk its configurations were visited when the entry was made.
+      Heights: a configuration with no rule instance has height 0, an
+      instance with no premise counts 1, and a frame 1 + the largest
+      height of the premises it opened (memo hits at their stored height).
     - "first": the premise's first result only; returns the first result
       of `gamma`, or None.  Depth 0 is cut without enumerating rules.
     - "spec": candidates drawn from `spec.at(param, premise)` when that is
@@ -221,6 +229,8 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None, spec=None,
     """
     rules = plugin.rules
     first, infer = policy == "first", policy == "spec"
+    if policy == "all" and memo is None:
+        memo = {}
     # The frame being worked on lives in locals: `top` is its (gamma,
     # depth, memo key); its rule instances `apps` start in order, `nxt`
     # indexing the next one; work they start goes on `agenda`, a LIFO
@@ -391,16 +401,20 @@ def derive_all(plugin: LanguagePlugin, gamma: Config, budget: SampleBudget,
     (tree height).  `exhausted` is set iff some branch was cut by the depth
     bound, so an empty result with exhausted=False certifies that `gamma`
     has no derivation at all.  `visit`, when given, is called on every
-    configuration the enumeration touches (used for corpus harvesting).
+    configuration the enumeration opens, in order (used for corpus
+    harvesting).
 
-    Without `visit`, each configuration whose derivation no depth cut is
-    memoized once (`_DERIVE_CACHE`): a later call at any budget from its
-    height up reuses the entry instead of deriving the subtree again.  A
-    call at a budget below an entry's height derives again but keeps the
-    entry, and a derivation the budget cut is not kept past the call.
+    The walk derives each sub-configuration once per call, on a memo table
+    of its own, and keeps nothing after it returns: a second call derives
+    again.
     """
-    memo = _DERIVE_CACHE if visit is None else None
-    return _walk(plugin, gamma, budget.max_depth, "all", memo, visit)[:2]
+    return _walk(plugin, gamma, budget.max_depth, "all", visit=visit)[:2]
+
+
+def _derive_shared(plugin, gamma, budget):
+    """`derive_all` on the process-wide memo (`_DERIVE_CACHE`), for the
+    checks that look the same configurations up again across walks."""
+    return _walk(plugin, gamma, budget.max_depth, "all", _DERIVE_CACHE)[:2]
 
 
 def derive_one(plugin: LanguagePlugin, gamma: Config,
@@ -630,7 +644,7 @@ def check_valid(plugin, spec, corpus, budget) -> CheckReport:
     checked = derived_total = 0
     for param in spec.param_domain:
         for gamma in corpus:
-            results, ex = derive_all(plugin, gamma, budget)
+            results, ex = _derive_shared(plugin, gamma, budget)
             exhausted = exhausted or ex
             checked += 1
             derived_total += len(results)
@@ -672,7 +686,7 @@ def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
     exhausted = exhausted or valid_rep.stats["depth_hit"]
 
     def extra(g):
-        return derive_all(plugin, g, budget)[0]
+        return _derive_shared(plugin, g, budget)[0]
 
     for param in spec.param_domain:
         targets = [g for g, _ in _targets(plugin, spec, param, corpus,
@@ -680,7 +694,7 @@ def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
         seen = set(targets)
         targets = targets + [g for g in corpus if g not in seen]
         for gamma in targets:
-            derived, ex = derive_all(plugin, gamma, budget)
+            derived, ex = _derive_shared(plugin, gamma, budget)
             exhausted = exhausted or ex
             checked += 1
             inferred, _ = infer_results(plugin, spec, param, gamma, budget,
@@ -706,7 +720,7 @@ def star_spec(plugin, budget, param_domain=(None,)) -> Specification:
     """
 
     def at(param, gamma):
-        results, _ = derive_all(plugin, gamma, budget)
+        results, _ = _derive_shared(plugin, gamma, budget)
         members = frozenset(results)
         return Constrained(
             contains=lambda r, _m=members: r in _m,

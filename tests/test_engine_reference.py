@@ -2,8 +2,9 @@
 replaced, kept here as the reference: same results in the same order, same
 `exhausted` flags, same traces, and the same plugin and spec calls in the
 same order.  The reference derivation memoizes with the engine's entry
-rule (one entry per configuration, answered from its height up), and a
-memo-free definition checks the answers of a memo shared across depths."""
+rule (one entry per configuration, answered from its height up), on a
+table of its own unless one is shared, and a memo-free definition checks
+the answers of a memo shared across depths and the reachable harvest."""
 
 from dataclasses import replace
 
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from bigstep import PLUGINS
 from bigstep.kernel import (UNIVERSE, Conclude, Constrained, InferTrace,
                             LanguagePlugin, Need, PremiseStep, SampleBudget,
-                            Specification, derive_all, derive_one,
-                            infer_results, trivial_spec)
+                            Specification, _reachable, _walk, derive_all,
+                            derive_one, infer_results, trivial_spec)
 from bigstep.lang_while import While
 from bigstep.random_programs import loop_free_corpus, random_corpus
 from bigstep.spec_lib import (fac_corpus, mglist_corpus, msort_corpus,
@@ -31,29 +32,30 @@ LANGS = ("while", "extwhile", "fun")
 def ref_derive(plugin, gamma, depth, visit=None, memo=None):
     """(results, exhausted) of `gamma` within `depth`.
 
-    Without `visit`, memoized with the engine's entry rule: `memo` maps a
-    configuration whose derivation no depth cut to (results, False,
-    height).  An entry answers every budget from its height up; a lookup
-    below it derives again and keeps the entry.  A cut answer is kept only
-    for this call, keyed by configuration and depth, and answers only that
-    depth."""
+    Memoized with the engine's entry rule: `memo`, or a table of this
+    call's own, maps a configuration whose derivation no depth cut to
+    (results, False, height).  An entry answers every budget from its
+    height up; a lookup below it derives again and keeps the entry.  A cut
+    answer is kept only for this call, keyed by configuration and depth,
+    and answers only that depth.  `visit` sees each configuration opened;
+    a memo hit opens nothing."""
     memo = ({} if memo is None else memo, {})
     return _ref_derive(plugin, gamma, depth, visit, memo)[:2]
 
 
 def _ref_derive(plugin, gamma, depth, visit, memo):
-    if visit is None:
+    if memo is not None:
         hit = memo[0].get(gamma)
         if hit is None or hit[2] > depth:
             hit = memo[1].get((gamma, depth))
         if hit is not None:
             return hit
-    else:
+    if visit is not None:
         visit(gamma)
     apps = plugin.rules(gamma)
     if depth <= 0:
         out = ((), bool(apps), 0)
-        if visit is None:
+        if memo is not None:
             remember(memo, gamma, depth, out)
         return out
 
@@ -80,7 +82,7 @@ def _ref_derive(plugin, gamma, depth, visit, memo):
     for app in apps:
         walk(app)
     out = (tuple(results), exhausted, depth if exhausted else height)
-    if visit is None:
+    if memo is not None:
         remember(memo, gamma, depth, out)
     return out
 
@@ -92,10 +94,19 @@ def remember(memo, gamma, depth, out):
         memo[0][gamma] = out
 
 
-def plain_derive(plugin, gamma, depth):
-    """(results, exhausted) by the definition alone: the reference walked
-    with a visitor memoizes nothing."""
-    return ref_derive(plugin, gamma, depth, visit=lambda g: None)
+def plain_derive(plugin, gamma, depth, visit=None):
+    """(results, exhausted) by the definition alone, with no memo: `visit`
+    sees every configuration each time it is opened."""
+    return _ref_derive(plugin, gamma, depth, visit, None)[:2]
+
+
+def ref_reachable(plugin, corpus, depth):
+    """The configurations a memo-free derivation of the corpus touches, in
+    first-visit order."""
+    visited: dict = {}
+    for gamma in corpus:
+        plain_derive(plugin, gamma, depth, visited.setdefault)
+    return list(visited)
 
 
 def ref_derive_one(plugin, gamma, depth):
@@ -246,13 +257,13 @@ def same_derivations(plugin, gamma, budget):
 
 
 def same_answers_on_a_shared_memo(plugin, gamma, depths):
-    """derive_all at each depth in turn on one memo: every answer is the
+    """The engine at each depth in turn on one memo: every answer is the
     memo-free definition's, and the calls made are the reference's on a
     memo of its own, shared the same way."""
-    new_log, ref_log, ref_memo = [], [], {}
+    new_log, ref_log, new_memo, ref_memo = [], [], {}, {}
     new_plugin, ref_plugin = logged(plugin, new_log), logged(plugin, ref_log)
     for depth in depths:
-        got = derive_all(new_plugin, gamma, SampleBudget(max_depth=depth))
+        got = _walk(new_plugin, gamma, depth, "all", new_memo)[:2]
         assert got == plain_derive(plugin, gamma, depth)
         assert got == ref_derive(ref_plugin, gamma, depth, memo=ref_memo)
         assert new_log == ref_log
@@ -347,6 +358,15 @@ def test_shared_memo_answers_every_depth_like_the_definition(
 def test_shared_memo_answers_every_depth_on_nondeterministic_rules(
         n, depths):
     same_answers_on_a_shared_memo(CHOICE, n, depths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LANGS), st.integers(0, 10_000), st.integers(0, 24))
+def test_reachable_harvest_matches_the_memo_free_harvest(lang, seed, depth):
+    plugin = PLUGINS[lang]
+    corpus = random_corpus(lang, 3, seed)
+    assert _reachable(plugin, corpus, SampleBudget(max_depth=depth)) == \
+        ref_reachable(plugin, corpus, depth)
 
 
 def spec_loops_unsampled():

@@ -107,6 +107,11 @@ def _memo_entries(plugin):
     return sum(1 for key in kernel._DERIVE_CACHE if key[0] is plugin)
 
 
+def _derive_shared(plugin, g, depth):
+    """A derivation on the memo that checks share across walks."""
+    return kernel._derive_shared(plugin, g, SampleBudget(max_depth=depth))
+
+
 def test_memo_entry_answers_from_its_height_up():
     # x=10 runs ten iterations and a last guard test: height 11.  One entry
     # per configuration: 11 loop configurations and 10 assignments.
@@ -115,7 +120,7 @@ def test_memo_entry_answers_from_its_height_up():
     done = ((WhileState.of({}),), False)
 
     def at(depth):
-        return derive_all(plugin, g, SampleBudget(max_depth=depth))
+        return _derive_shared(plugin, g, depth)
 
     assert at(22) == done
     assert _memo_entries(plugin) == 21
@@ -146,15 +151,15 @@ def test_cut_derivation_stores_only_what_it_completed():
         assert not any(isinstance(gamma.stmt, While) for gamma in keys)
         return sorted(gamma.state.get("x") for gamma in keys)
 
-    assert derive_all(plugin, g, SampleBudget(max_depth=8)) == ((), True)
+    assert _derive_shared(plugin, g, 8) == ((), True)
     assert stored() == list(range(4, 11))
     # A repeat call derives the cut configurations again (8 loops and the
     # assignment at x=3) and reads the completed assignments.
     calls[0] = 0
-    assert derive_all(plugin, g, SampleBudget(max_depth=8)) == ((), True)
+    assert _derive_shared(plugin, g, 8) == ((), True)
     assert calls[0] == 9
     assert stored() == list(range(4, 11))
-    assert derive_all(plugin, g, SampleBudget(max_depth=11)) == (
+    assert _derive_shared(plugin, g, 11) == (
         (WhileState.of({}),), False)
     assert _memo_entries(plugin) == 21
 
@@ -169,19 +174,50 @@ def test_cut_premise_is_derived_once_per_depth_within_a_walk():
     counts = []
     for depth in (20, 30, 40):
         plugin, calls = _counted(fun)
-        assert derive_all(plugin, g, SampleBudget(max_depth=depth)) == (
-            (), True)
+        assert _derive_shared(plugin, g, depth) == ((), True)
         # Only the four values evaluated on the way complete.
         assert _memo_entries(plugin) == 4
         counts.append(calls[0])
     assert counts[1] - counts[0] == counts[2] - counts[1] == 10
 
 
+def test_reachable_harvest_grows_linearly_in_the_depth():
+    # The harvest memoizes on its walk's own table, cut answers included,
+    # so the condition both `if` rules derive at one depth is derived once.
+    # A harvest that derived it again per rule doubled its work every few
+    # levels of depth (6,652 `rules` calls at depth 40).
+    fun = PLUGINS["fun"]
+    g = fun.parse_config("letrec f = \\n. if f n then 1 else 0 in f 0")
+    counts = []
+    for depth in (20, 30, 40):
+        plugin, calls = _counted(fun)
+        assert len(kernel._reachable(plugin, [g],
+                                     SampleBudget(max_depth=depth))) == 10
+        counts.append(calls[0])
+    assert counts[1] - counts[0] == counts[2] - counts[1] == 10
+
+
+def test_derive_all_keeps_no_memo_entry_after_it_returns():
+    # The walk's own table answers repeats within the call; a second call
+    # derives again and the shared memo never sees either.
+    plugin, calls = _counted()
+    g = wcfg("while 0 < x do x := x - 1", {"x": 10})
+    done = ((WhileState.of({}),), False)
+    before = len(kernel._DERIVE_CACHE)
+    assert derive_all(plugin, g, SampleBudget(max_depth=22)) == done
+    assert calls[0] == 21
+    assert derive_all(plugin, g, SampleBudget(max_depth=22)) == done
+    assert calls[0] == 42
+    assert _memo_entries(plugin) == 0
+    assert len(kernel._DERIVE_CACHE) == before
+
+
 @pytest.mark.parametrize("spec_name", sorted(spec_lib.SPECS))
 def test_check_verif_leaves_the_derivation_memo_alone(spec_name):
     # Neither the reachable-configuration harvest, `derive_one` nor
-    # inference reads or writes the memo, so verification's memory does not
-    # grow with it.  A copy of the plugin has no memo entries of its own.
+    # inference reads or writes the shared memo, so verification's memory
+    # does not grow with it.  A copy of the plugin has no memo entries of
+    # its own.
     lang, factory = spec_lib.SPECS[spec_name]
     plugin, spec = replace(PLUGINS[lang]), factory()
     corpus = {"while": lambda: fac_corpus(range(1, 5)),
@@ -383,6 +419,18 @@ def test_star_spec_sets_are_exactly_the_derivable_results():
     assert sset.sample(B) == [want]
 
 
+def test_star_spec_answers_a_repeat_lookup_from_the_memo():
+    plugin, calls = _counted()
+    star = star_spec(plugin, B)
+    g = wcfg("x := 1 ; x := x + 1")
+    first = star.at(None, g)
+    assert calls[0] > 0
+    calls[0] = 0
+    again = star.at(None, g)
+    assert calls[0] == 0
+    assert again.sample(B) == first.sample(B) == [WhileState.of({"x": 2})]
+
+
 def test_star_spec_passes_verification_on_loop_free_programs():
     b8 = SampleBudget(max_depth=8, max_samples=8, seed=0)
     for lang in ("while", "extwhile", "fun"):
@@ -441,10 +489,7 @@ COUNTDOWN = parse_stmt("while 0 < x do x := x - 1")
 def test_derive_all_runs_a_hundred_thousand_iterations():
     budget = SampleBudget(max_depth=200_010, max_samples=1, seed=0)
     g = WhileConfig(COUNTDOWN, WhileState.of({"x": 100_000}))
-    try:
-        assert derive_all(WHILE, g, budget) == ((WhileState.of({}),), False)
-    finally:
-        kernel._DERIVE_CACHE.clear()
+    assert derive_all(WHILE, g, budget) == ((WhileState.of({}),), False)
 
 
 def test_derive_one_and_inference_run_forty_thousand_iterations():
@@ -591,7 +636,6 @@ def test_no_collection_runs_during_a_long_derivation():
         results = derive_all(replace(WHILE, rules=rules), g, budget)
     finally:
         gc.callbacks.remove(hook)
-        kernel._DERIVE_CACHE.clear()
     assert results == ((WhileState.of({}),), False)
     assert [n for n in stamps if 0 < n < calls[0]] == []
 
