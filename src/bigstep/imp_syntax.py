@@ -133,19 +133,11 @@ Stmt = (Skip | VarDecl | ArrDecl | Assign | ArrAssign | Seq | If | While
 # ---------------------------------------------------------------------------
 
 def _parse_aexp(t: Tokens) -> AExp:
-    node = _parse_term(t)
-    while t.peek() in ("+", "-"):
-        op = t.next()
-        node = ABin(op, node, _parse_term(t))
-    return node
+    return t.fold_left(_parse_term, ("+", "-"), ABin)
 
 
 def _parse_term(t: Tokens) -> AExp:
-    node = _parse_factor(t)
-    while t.peek() in ("*", "/"):
-        op = t.next()
-        node = ABin(op, node, _parse_factor(t))
-    return node
+    return t.fold_left(_parse_factor, ("*", "/"), ABin)
 
 
 def _parse_factor(t: Tokens) -> AExp:
@@ -164,10 +156,7 @@ def _parse_factor(t: Tokens) -> AExp:
 
 
 def _parse_bexp(t: Tokens) -> BExp:
-    node = _parse_batom(t)
-    while t.accept("and"):
-        node = BAnd(node, _parse_batom(t))
-    return node
+    return t.fold_left(_parse_batom, ("and",), lambda _, a, b: BAnd(a, b))
 
 
 def _parse_batom(t: Tokens) -> BExp:

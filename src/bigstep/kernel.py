@@ -155,8 +155,8 @@ def seeded_rng(seed: int, *key: object) -> random.Random:
 # Derivation memo shared across walks by the checks that look the same
 # configurations up again (`check_valid`, the crosscheck and the `star`
 # spec, through `_derive_shared`); its entries live as long as the process.
-# Every other derivation (`derive_all`, so `run`, `derive` and the reachable
-# harvest) memoizes on a table of its own, dropped when the walk returns.
+# Every other walk (`derive_all`, so `run` and `derive`, and the harvest)
+# memoizes on a table of its own, dropped when the walk returns.
 # Either table maps (plugin, config) -> (results, False, height), one entry
 # per configuration, stored only for a derivation that no depth cut.  Such a
 # derivation gives the same results, in the same order, at every budget from
@@ -194,8 +194,8 @@ def _gc_paused(walk):
 
 
 @_gc_paused
-def _walk(plugin, gamma, depth, policy, memo=None, visit=None, spec=None,
-          param=None, budget=None, extra=None):
+def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
+          candidates=None):
     """Walk the derivations of `gamma` within `depth`, on an explicit stack.
 
     The premise policy picks what a premise contributes and what a frame
@@ -216,16 +216,16 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None, spec=None,
       height of the premises it opened (memo hits at their stored height).
     - "first": the premise's first result only; returns the first result
       of `gamma`, or None.  Depth 0 is cut without enumerating rules.
-    - "spec": candidates drawn from `spec.at(param, premise)` when that is
-      Constrained (sampled plus `extra(premise)`, membership-filtered),
-      else every inferred result; returns ({result: InferTrace},
-      exhausted, height).
+    - "spec": a premise takes the (result, None) pairs that
+      `candidates(premise)` lists or, when that is None, every result
+      inferred for it below; returns ({result: InferTrace}, exhausted,
+      height).
 
     Work is done in exactly the order of a recursive walk that tries rule
     instances in order, derives a premise fully before feeding its results
     one at a time to `rest`, and finishes each continuation before the
-    next result, so results, traces and every plugin and spec call come in
-    the same order.
+    next result, so results, traces and every plugin and candidate call
+    come in the same order.
     """
     rules = plugin.rules
     first, infer = policy == "first", policy == "spec"
@@ -345,13 +345,10 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None, spec=None,
                     elif r not in out:
                         out[r] = InferTrace(top[0], r, idx, steps)
                     continue
-                if infer:
-                    sset = spec.at(param, app.premise)
-                    if isinstance(sset, Constrained):
-                        cands = _sampled(sset, budget, extra, app.premise)
-                        if cands:
-                            agenda.append((app, steps, idx, cands, 0))
-                        continue
+                if infer and (cands := candidates(app.premise)) is not None:
+                    if cands:
+                        agenda.append((app, steps, idx, cands, 0))
+                    continue
                 waiting = (app, steps, idx)
                 gamma, depth = app.premise, top[1] - 1
                 break
@@ -375,40 +372,19 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None, spec=None,
                 top = None
 
 
-def _sampled(sset, budget, extra, premise) -> list:
-    """A constrained premise's candidates: sampled, then `extra`'s, each
-    kept once and only if it is a member."""
-    cands: list = []
-    seen: set = set()
-
-    def add(source):
-        for c in source:
-            if c not in seen and sset.contains(c):
-                seen.add(c)
-                cands.append((c, None))
-
-    add(sset.sample(budget))
-    if extra is not None:
-        add(extra(premise))
-    return cands
-
-
-def derive_all(plugin: LanguagePlugin, gamma: Config, budget: SampleBudget,
-               visit: Callable[[Config], None] | None = None):
+def derive_all(plugin: LanguagePlugin, gamma: Config, budget: SampleBudget):
     """All results derivable from `gamma` within the depth budget.
 
     Returns (results, exhausted).  Depth counts nested rule applications
     (tree height).  `exhausted` is set iff some branch was cut by the depth
     bound, so an empty result with exhausted=False certifies that `gamma`
-    has no derivation at all.  `visit`, when given, is called on every
-    configuration the enumeration opens, in order (used for corpus
-    harvesting).
+    has no derivation at all.
 
     The walk derives each sub-configuration once per call, on a memo table
     of its own, and keeps nothing after it returns: a second call derives
     again.
     """
-    return _walk(plugin, gamma, budget.max_depth, "all", visit=visit)[:2]
+    return _walk(plugin, gamma, budget.max_depth, "all")[:2]
 
 
 def _derive_shared(plugin, gamma, budget):
@@ -455,24 +431,32 @@ class InferTrace(Node):
     premises: tuple[PremiseStep, ...]
 
 
-def infer_results(plugin, spec, param, gamma, budget, extra_sampler=None):
+def infer_results(plugin, spec, param, gamma, budget):
     """Results inferable from `gamma` with the specification's help.
 
     Symbolic execution: premises whose spec entry is Universe are inferred
     recursively; premises with a constrained entry draw candidate results
-    from the entry's sampler instead (recursion cut off).  Sampled
-    candidates failing the membership predicate are dropped, so every
-    returned result genuinely satisfies the inference relation.
-
-    `extra_sampler(config)` optionally contributes additional candidates at
-    constrained premises (still membership-filtered); the soundness
-    cross-check uses it to feed actual derived results back in.
+    from the entry's sampler instead (recursion cut off): the walker's
+    candidate hook keeps a sampled candidate once, and only if it is a
+    member, so every returned result genuinely satisfies the inference
+    relation.
 
     Returns ({result: InferTrace}, exhausted), results in the order they
     were found; a result reached in several ways keeps its first trace.
     """
-    return _walk(plugin, gamma, budget.max_depth, "spec", spec=spec,
-                 param=param, budget=budget, extra=extra_sampler)[:2]
+
+    def candidates(premise):
+        sset = spec.at(param, premise)
+        if not isinstance(sset, Constrained):
+            return None
+        kept: dict = {}  # member -> None: a sampled result has no trace
+        for c in sset.sample(budget):
+            if c not in kept and sset.contains(c):
+                kept[c] = None
+        return list(kept.items())
+
+    return _walk(plugin, gamma, budget.max_depth, "spec",
+                 candidates=candidates)[:2]
 
 
 def replay_trace(plugin: LanguagePlugin,
@@ -585,7 +569,7 @@ def _reachable(plugin, corpus, budget) -> list:
     """Configurations touched while deriving the corpus, in visit order."""
     visited: dict = {}
     for gamma in corpus:
-        derive_all(plugin, gamma, budget, visited.setdefault)
+        _walk(plugin, gamma, budget.max_depth, "all", visit=visited.setdefault)
     return list(visited)
 
 
@@ -667,9 +651,9 @@ def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
 
     Requires check_verif to pass on the corpus first.  Then (a) re-checks
     validity, and (b) checks instance-wise that every derived (config,
-    result) pair is reproduced by inference when the sampler is extended
-    with the actual derived intermediate results.  A failure here points at
-    an engine bug, not a spec bug.
+    result) pair is reproduced by inference when each constrained set also
+    samples the derived results (`_derivation_informed`).  A failure here
+    points at an engine bug, not a spec bug.
     """
     corpus = list(corpus)
     reachable = _reachable(plugin, corpus, budget)
@@ -685,9 +669,7 @@ def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
     cexs.extend(valid_rep.counterexamples)
     exhausted = exhausted or valid_rep.stats["depth_hit"]
 
-    def extra(g):
-        return _derive_shared(plugin, g, budget)[0]
-
+    informed = _derivation_informed(plugin, spec)
     for param in spec.param_domain:
         targets = [g for g, _ in _targets(plugin, spec, param, corpus,
                                           reachable)]
@@ -697,8 +679,8 @@ def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
             derived, ex = _derive_shared(plugin, gamma, budget)
             exhausted = exhausted or ex
             checked += 1
-            inferred, _ = infer_results(plugin, spec, param, gamma, budget,
-                                        extra_sampler=extra)
+            inferred, _ = infer_results(plugin, informed, param, gamma,
+                                        budget)
             missing = [r for r in derived if r not in inferred]
             for r in missing:
                 cexs.append(Counterexample(
@@ -709,6 +691,22 @@ def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
              "results_inferred": valid_rep.stats["results_inferred"],
              "depth_hit": exhausted}
     return _report(cexs, exhausted, stats)
+
+
+def _derivation_informed(plugin, spec) -> Specification:
+    """`spec` whose constrained sets sample, after the spec's candidates,
+    the configuration's derived results; `contains` is the spec's, so the
+    membership filter still applies to both."""
+
+    def at(param, gamma):
+        sset = spec.at(param, gamma)
+        if not isinstance(sset, Constrained):
+            return sset
+        return Constrained(sset.contains, lambda b: [
+            *sset.sample(b), *_derive_shared(plugin, gamma, b)[0]],
+            sset.describe)
+
+    return Specification(spec.param_domain, at)
 
 
 def star_spec(plugin, budget, param_domain=(None,)) -> Specification:

@@ -12,6 +12,7 @@ the configuration is stuck.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 from .imp_syntax import (ABin, AExp, AIdx, AName, ANum, ArrAssign, ArrDecl,
@@ -78,10 +79,9 @@ class ExtState(Node):
                         self.nextloc)
 
     def loc(self, location: int) -> int:
-        for k, v in self.heap:
-            if k == location:
-                return v
-        return 0
+        heap = self.heap
+        i = bisect_left(heap, (location,))
+        return heap[i][1] if i < len(heap) and heap[i][0] == location else 0
 
     def with_loc(self, location: int, value: int) -> "ExtState":
         return ExtState(self.names,

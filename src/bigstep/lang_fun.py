@@ -360,10 +360,7 @@ def _parse_expr(t: Tokens) -> FExpr:
 
 
 def _parse_conj(t: Tokens) -> FExpr:
-    node = _parse_neg(t)
-    while t.accept("and"):
-        node = FAnd(node, _parse_neg(t))
-    return node
+    return t.fold_left(_parse_neg, ("and",), lambda _, a, b: FAnd(a, b))
 
 
 def _parse_neg(t: Tokens) -> FExpr:
@@ -392,19 +389,11 @@ def _parse_cmp(t: Tokens) -> FExpr:
 
 
 def _parse_add(t: Tokens) -> FExpr:
-    node = _parse_mul(t)
-    while t.peek() in ("+", "-"):
-        op = t.next()
-        node = FBin(op, node, _parse_mul(t))
-    return node
+    return t.fold_left(_parse_mul, ("+", "-"), FBin)
 
 
 def _parse_mul(t: Tokens) -> FExpr:
-    node = _parse_app(t)
-    while t.peek() in ("*", "/"):
-        op = t.next()
-        node = FBin(op, node, _parse_app(t))
-    return node
+    return t.fold_left(_parse_app, ("*", "/"), FBin)
 
 
 def _starts_atom(t: Tokens) -> bool:

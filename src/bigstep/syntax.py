@@ -243,6 +243,15 @@ class Tokens:
             self.accept(",")
         return out
 
+    def fold_left(self, operand, ops, build):
+        """`operand(self)`, then `(op operand)*` for each `op` in `ops`,
+        grouped to the left: `build(op, left, right)` makes each node."""
+        node = operand(self)
+        while self.peek() in ops:
+            op = self.next()
+            node = build(op, node, operand(self))
+        return node
+
     def pos(self):
         return self.toks[self.i][2] if self.i < len(self.toks) else None
 

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from bigstep import PLUGINS
 from bigstep.kernel import (UNIVERSE, Conclude, Constrained, InferTrace,
                             LanguagePlugin, Need, PremiseStep, SampleBudget,
-                            Specification, _reachable, _walk, derive_all,
+                            Specification, _derivation_informed,
+                            _reachable, _walk, derive_all,
                             derive_one, infer_results, trivial_spec)
 from bigstep.lang_while import While
 from bigstep.random_programs import loop_free_corpus, random_corpus
@@ -133,7 +134,7 @@ def ref_derive_one(plugin, gamma, depth):
     return go(gamma, depth)
 
 
-def ref_infer(plugin, spec, param, gamma, budget, depth, extra):
+def ref_infer(plugin, spec, param, gamma, budget, depth):
     apps = plugin.rules(gamma)
     if depth <= 0:
         return {}, bool(apps)
@@ -150,14 +151,8 @@ def ref_infer(plugin, spec, param, gamma, budget, depth, extra):
                 if c not in seen and sset.contains(c):
                     seen.add(c)
                     cands.append((c, None))
-            if extra is not None:
-                for c in extra(premise):
-                    if c not in seen and sset.contains(c):
-                        seen.add(c)
-                        cands.append((c, None))
             return cands
-        sub, ex = ref_infer(plugin, spec, param, premise, budget, depth - 1,
-                            extra)
+        sub, ex = ref_infer(plugin, spec, param, premise, budget, depth - 1)
         exhausted = exhausted or ex
         return list(sub.items())
 
@@ -223,17 +218,6 @@ def logged_spec(spec, log):
     return replace(spec, at=at)
 
 
-def logged_extra(extra, log):
-    if extra is None:
-        return None
-
-    def wrapped(gamma):
-        log.append(("extra", gamma))
-        return extra(gamma)
-
-    return wrapped
-
-
 def same_derivations(plugin, gamma, budget):
     new_log, ref_log = [], []
     new = derive_all(logged(plugin, new_log), gamma, budget)
@@ -243,7 +227,8 @@ def same_derivations(plugin, gamma, budget):
 
     new_log, ref_log = [], []
     new_visits, ref_visits = [], []
-    derive_all(logged(plugin, new_log), gamma, budget, new_visits.append)
+    _walk(logged(plugin, new_log), gamma, budget.max_depth, "all",
+          visit=new_visits.append)
     ref_derive(logged(plugin, ref_log), gamma, budget.max_depth,
                ref_visits.append)
     assert new_visits == ref_visits
@@ -269,14 +254,14 @@ def same_answers_on_a_shared_memo(plugin, gamma, depths):
         assert new_log == ref_log
 
 
-def same_inference(plugin, spec, param, gamma, budget, extra=None):
+def same_inference(plugin, spec, param, gamma, budget):
     new_log, ref_log = [], []
     new_traced, new_ex = infer_results(
         logged(plugin, new_log), logged_spec(spec, new_log), param, gamma,
-        budget, logged_extra(extra, new_log))
+        budget)
     ref_traced, ref_ex = ref_infer(
         logged(plugin, ref_log), logged_spec(spec, ref_log), param, gamma,
-        budget, budget.max_depth, logged_extra(extra, ref_log))
+        budget, budget.max_depth)
     assert list(new_traced.items()) == list(ref_traced.items())
     assert new_ex == ref_ex
     assert new_log == ref_log
@@ -338,8 +323,8 @@ def test_engine_matches_recursive_walkers_on_nondeterministic_rules(n, depth):
     same_derivations(CHOICE, n, budget)
     same_inference(CHOICE, trivial_spec(), None, n, budget)
     same_inference(CHOICE, spec_choice_odd_sampled(), None, n, budget)
-    same_inference(CHOICE, spec_choice_odd_sampled(), None, n, budget,
-                   lambda m: ref_derive(CHOICE, m, depth)[0][::-1])
+    same_inference(CHOICE, _derivation_informed(
+        CHOICE, spec_choice_odd_sampled()), None, n, budget)
 
 
 DEPTH_RUNS = st.lists(st.integers(0, 24), min_size=1, max_size=6)
@@ -370,8 +355,9 @@ def test_reachable_harvest_matches_the_memo_free_harvest(lang, seed, depth):
 
 
 def spec_loops_unsampled():
-    """Loop entries constrained to any result, with an empty sampler: every
-    loop result inferred comes from the extra sampler."""
+    """Loop entries constrained to any result, with an empty sampler: under
+    the crosscheck's derivation-informed spec, every loop result inferred
+    comes from derivation."""
 
     def at(param, gamma):
         if isinstance(gamma.stmt, While):
@@ -395,12 +381,9 @@ def test_engine_matches_recursive_walkers_on_bundled_specs():
     for lang, factory, corpus, depth in _spec_cases():
         plugin, spec = PLUGINS[lang], factory()
         budget = SampleBudget(max_depth=depth, max_samples=8, seed=0)
-
-        def extra(g):
-            return ref_derive(plugin, g, depth)[0]
-
+        informed = _derivation_informed(plugin, spec)
         for gamma in corpus:
             same_derivations(plugin, gamma, budget)
             for param in spec.param_domain[:3]:
                 same_inference(plugin, spec, param, gamma, budget)
-                same_inference(plugin, spec, param, gamma, budget, extra)
+                same_inference(plugin, informed, param, gamma, budget)

@@ -2,7 +2,9 @@
 initialization/finalization equations, partial expression evaluation, and
 the array-merge function against a list oracle."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from bigstep.kernel import Conclude, Need, SampleBudget, derive_one
 from bigstep.lang_extwhile import (ABin, AIdx, AName, ANum, ArrAssign,
@@ -270,3 +272,16 @@ def test_parse_functions_rejects_a_malformed_definition(src):
 
 def test_merge_program_source_parses_to_the_bundled_program():
     assert parse_functions(MERGE_FUNCTIONS_SRC) == MERGE_PROGRAM
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 40), st.integers(-2, 2)),
+       st.integers(-2, 44))
+def test_loc_equals_a_linear_scan_of_the_heap(cells, location):
+    # Cells holding zero are kept here: `ExtState.of` drops them, but a
+    # lookup must not depend on that.
+    heap = tuple(sorted(cells.items()))
+    for state in (ExtState((), heap, 0), S({}, cells)):
+        for at in list(cells) + [location]:
+            scan = next((v for k, v in state.heap if k == at), 0)
+            assert state.loc(at) == scan == cells.get(at, 0)

@@ -13,8 +13,9 @@ import pytest
 
 import bigstep
 from bigstep import PLUGINS, kernel, spec_lib
-from bigstep.kernel import (BUDGET_EXHAUSTED, Conclude, Constrained, FAIL,
-                            PASS, PRECONDITION_FAILED, SampleBudget,
+from bigstep.kernel import (BUDGET_EXHAUSTED, UNIVERSE, Conclude,
+                            Constrained, FAIL, PASS, PRECONDITION_FAILED,
+                            SampleBudget,
                             Specification, check_soundness_crosscheck,
                             check_valid, check_verif, derive_all, derive_one,
                             infer_results, replay_trace,
@@ -351,8 +352,8 @@ def test_check_valid_statuses():
                        shallow).status == BUDGET_EXHAUSTED
 
 
-def _digest(report):
-    doc = json.dumps(report.to_dict(WHILE), sort_keys=True)
+def _digest(report, plugin=WHILE):
+    doc = json.dumps(report.to_dict(plugin), sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
@@ -380,6 +381,45 @@ def test_crosscheck_harvests_the_reachable_set_once(monkeypatch):
     assert bad.stats == {"configs_checked": 17, "results_inferred": 25,
                          "depth_hit": False}
     assert _digest(bad) == "eda24705d0b0596e"
+
+
+def test_crosscheck_samples_derived_results_at_constrained_premises():
+    # Loop entries accept any result but sample none, so inference passes
+    # a loop only with the derived results the crosscheck samples there.
+    def at(param, gamma):
+        if isinstance(gamma.stmt, While):
+            return Constrained(lambda r: True, lambda b: [], "any result")
+        return UNIVERSE
+
+    spec = Specification((None,), at)
+    corpus = fac_corpus(range(2, 5))
+    budget = SampleBudget(64, 16, 0)
+    g = corpus[0]
+    assert infer_results(WHILE, spec, None, g, budget) == ({}, False)
+    report = check_soundness_crosscheck(WHILE, spec, corpus, budget)
+    assert report.status == PASS and report.stats["configs_checked"] == 16
+
+
+@pytest.mark.parametrize("spec_name,corpus,status,stats,digest", [
+    ("msort", lambda: msort_corpus(3, 0), PASS, (68, 9),
+     "735850d1bccc5612"),
+    ("msort-nosort", lambda: msort_corpus(3, 1), PRECONDITION_FAILED,
+     (41, 60), "4bbff2b84e88fc76"),
+    ("mglist", lambda: mglist_corpus(3, 0, max_len=4), PASS, (12, 3),
+     "ccb5c593a9c40fc3"),
+    ("mglist-len", lambda: mglist_corpus(3, 1, max_len=4),
+     PRECONDITION_FAILED, (21, 39), "66c18f9711869452"),
+])
+def test_crosscheck_reports_on_bundled_specs_are_pinned(
+        spec_name, corpus, status, stats, digest):
+    lang, factory = spec_lib.SPECS[spec_name]
+    plugin = PLUGINS[lang]
+    report = check_soundness_crosscheck(plugin, factory(), corpus(),
+                                        SampleBudget(512, 8, 0))
+    assert report.status == status
+    assert report.stats == {"configs_checked": stats[0],
+                            "results_inferred": stats[1], "depth_hit": False}
+    assert _digest(report, plugin) == digest
 
 
 def test_report_prints_each_node_once():
