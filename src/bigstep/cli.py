@@ -28,7 +28,7 @@ from .kernel import (BUDGET_EXHAUSTED, CheckReport, PASS, SampleBudget,
                      check_verif, derive_all, star_spec, trivial_spec)
 from .syntax import ParseError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

@@ -305,3 +305,10 @@ def print_stmt(s: Stmt) -> str:
         case Call(f, args, recvs):
             return "call %s(%s; %s)" % (
                 f, ", ".join(print_aexp(a) for a in args), ", ".join(recvs))
+
+
+def print_config(stmt: Stmt, state, texts=None) -> str:
+    """`<stmt | state>`; the state's entry in `texts`, if it has one, is
+    its text (see `kernel.LanguagePlugin`)."""
+    text = texts.get(state) if texts else None
+    return "<%s | %s>" % (print_stmt(stmt), state if text is None else text)

@@ -18,10 +18,10 @@ from typing import Any, Callable, Optional
 
 from .syntax import Node, hash_once
 
-# Derivations are walked on an explicit stack, so their height is bounded by
-# the depth budget alone.  Terms are still walked recursively on their
-# nesting depth (the parsers, lang_fun's occurrence sets, canonical-form
-# check and substitution, printers, trace rendering and replay), and a long
+# Derivations, and the traces that record them, are walked on an explicit
+# stack, so their height is bounded by the depth budget alone.  Terms are
+# still walked recursively on their nesting depth (the parsers, lang_fun's
+# occurrence sets, canonical-form check and substitution, printers), and a long
 # literal list such as a 20,000-element `fun` list needs more headroom than
 # the default stack limit.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
@@ -64,6 +64,10 @@ class LanguagePlugin:
 
     `rules(gamma)` returns every rule instance whose conclusion configuration
     is `gamma`, in a fixed order; an empty list means `gamma` is stuck.
+    `pretty(value, texts=None)` prints a configuration or result; `texts`
+    maps terms already printed in the same report to their text, and the
+    printer may use the entry of any subterm instead of printing it again
+    (it adds none), with the same output.
     Plugins compare and hash by identity: the derivation memo is keyed by
     the plugin object, so two plugins sharing a name never share results.
     """
@@ -71,7 +75,7 @@ class LanguagePlugin:
     name: str
     rules: Callable[[Config], list]
     parse_config: Callable[[str], Config]
-    pretty: Callable[[Any], str]
+    pretty: Callable[..., str]
 
 
 # ---------------------------------------------------------------------------
@@ -464,24 +468,38 @@ def replay_trace(plugin: LanguagePlugin,
     """Re-run a trace through the plugin's rules; None if it does not replay.
 
     Sampled premise results are taken at face value; inferred ones are
-    replayed recursively.
+    replayed, on an explicit stack, before the rule instance takes them.
     """
-    apps = plugin.rules(trace.config)
-    if trace.rule_index >= len(apps):
-        return None
-    app = apps[trace.rule_index]
-    for step in trace.premises:
-        if not isinstance(app, Need) or app.premise != step.config:
-            return None
-        if step.sub is not None \
-                and replay_trace(plugin, step.sub) != step.result:
-            return None
-        app = app.rest(step.result)
+    stack: list = []  # suspended (trace, rule instance, premise position)
+    t, pos = trace, 0
+    while True:
+        if pos == 0:
+            apps = plugin.rules(t.config)
+            if t.rule_index >= len(apps):
+                return None
+            app = apps[t.rule_index]
+        if pos < len(t.premises):
+            step = t.premises[pos]
+            if not isinstance(app, Need) or app.premise != step.config:
+                return None
+            if step.sub is not None:
+                stack.append((t, app, pos))
+                t, pos = step.sub, 0
+                continue
+            result = step.result
+        else:
+            if not isinstance(app, Conclude):
+                return None
+            if not stack:
+                return app.result
+            result = app.result
+            t, app, pos = stack.pop()
+            if result != t.premises[pos].result:
+                return None
+        app = app.rest(result)
         if app is None:
             return None
-    if not isinstance(app, Conclude):
-        return None
-    return app.result
+        pos += 1
 
 
 # ---------------------------------------------------------------------------
@@ -510,49 +528,77 @@ class CheckReport:
     stats: dict
 
     def to_dict(self, plugin: LanguagePlugin) -> dict:
-        # Traces share sub-traces and each step's config is its sub-trace's
-        # config, so every node is printed once per report.
-        texts: dict = {}
+        """The report as plain data, flat however deep its traces are.
 
-        def pretty(node):
-            text = texts.get(node)
-            if text is None:
-                text = texts[node] = plugin.pretty(node)
-            return text
+        `terms` lists printed configurations and results, each once;
+        `traces` lists trace nodes, each once, as {"config", "result",
+        "rule_index", "premises"}, a premise being [config, result, trace]
+        with trace None when the result was sampled.  Those numbers index
+        `terms` and `traces`, and a trace comes after every trace it
+        refers to.  A counterexample carries its printed config and result
+        and the index of its trace, or None.
+        """
+        texts: dict = {}  # term -> its text, for the printers to reuse
+        term_ids: dict = {}
+        terms: list = []
+        trace_ids: dict = {}  # id(trace) -> index: traces are never hashed
+        traces: list = []
 
+        def text(node):
+            t = texts.get(node)
+            if t is None:
+                t = texts[node] = plugin.pretty(node, texts)
+            return t
+
+        def term(node):
+            i = term_ids.get(node)
+            if i is None:
+                i = term_ids[node] = len(terms)
+                terms.append(text(node))
+            return i
+
+        def trace(root):
+            # Children before parents, from an explicit stack: a trace is
+            # added once the traces of all its premises are.
+            stack = [root]
+            while stack:
+                t = stack[-1]
+                if id(t) in trace_ids:
+                    stack.pop()
+                    continue
+                subs = [s.sub for s in t.premises
+                        if s.sub is not None and id(s.sub) not in trace_ids]
+                if subs:
+                    stack.extend(reversed(subs))
+                    continue
+                stack.pop()
+                premises = [[term(s.config), term(s.result),
+                             None if s.sub is None else trace_ids[id(s.sub)]]
+                            for s in t.premises]
+                trace_ids[id(t)] = len(traces)
+                traces.append({"config": term(t.config),
+                               "result": term(t.result),
+                               "rule_index": t.rule_index,
+                               "premises": premises})
+            return trace_ids[id(root)]
+
+        counterexamples = []
+        for cx in self.counterexamples:
+            index = None if cx.trace is None else trace(cx.trace)
+            counterexamples.append({
+                "param": repr(cx.param),
+                "config": text(cx.config),
+                "result": text(cx.result),
+                "expected": cx.expected,
+                "trace": index,
+            })
         return {
             "status": self.status,
-            "counterexamples": [
-                {
-                    "param": repr(cx.param),
-                    "config": pretty(cx.config),
-                    "result": pretty(cx.result),
-                    "expected": cx.expected,
-                    "trace": _trace_dict(pretty, cx.trace),
-                }
-                for cx in self.counterexamples
-            ],
+            "counterexamples": counterexamples,
             "stats": self.stats,
+            "traces": traces,
+            "terms": terms,
         }
-
-
-def _trace_dict(pretty, trace):
-    if trace is None:
-        return None
-    return {
-        "config": pretty(trace.config),
-        "result": pretty(trace.result),
-        "rule_index": trace.rule_index,
-        "premises": [
-            {
-                "config": pretty(s.config),
-                "result": pretty(s.result),
-                "via": "sampled" if s.sub is None else "inferred",
-                "sub": _trace_dict(pretty, s.sub),
-            }
-            for s in trace.premises
-        ],
-    }
 
 
 def _report(counterexamples, exhausted, stats) -> CheckReport:

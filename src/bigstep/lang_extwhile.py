@@ -18,7 +18,7 @@ from typing import Optional
 from .imp_syntax import (ABin, AExp, AIdx, AName, ANum, ArrAssign, ArrDecl,
                          Assign, BAnd, BBool, BCmp, BExp, BNot, Call, If, Seq,
                          Skip, Stmt, VarDecl, While, parse_seq, parse_whole,
-                         print_stmt)
+                         print_config)
 from .kernel import Conclude, LanguagePlugin, Need
 from .syntax import Node, ParseError, Tokens, hash_once, sorted_put
 
@@ -361,9 +361,9 @@ def parse_config(src: str) -> ExtConfig:
                      parse_functions(funcs))
 
 
-def pretty(value) -> str:
+def pretty(value, texts=None) -> str:
     if isinstance(value, ExtConfig):
-        return "<%s | %s>" % (print_stmt(value.stmt), value.state)
+        return print_config(value.stmt, value.state, texts)
     if isinstance(value, ExtState):
         return str(value)
     return repr(value)

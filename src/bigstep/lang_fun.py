@@ -445,37 +445,46 @@ def parse_expr(src: str) -> FExpr:
 # Printing
 # ---------------------------------------------------------------------------
 
-def print_expr(e: FExpr) -> str:
+def print_expr(e: FExpr, texts=None) -> str:
+    """The text of `e`; a subterm with an entry in `texts` is not printed
+    again (see `LanguagePlugin`)."""
+    if texts:
+        text = texts.get(e)
+        if text is not None:
+            return text
     match e:
         case FNum(v):
             return str(v)
         case FBool(v):
             return "true" if v else "false"
         case FBin(op, l, r):
-            return "(%s %s %s)" % (print_expr(l), op, print_expr(r))
+            return "(%s %s %s)" % (print_expr(l, texts), op,
+                                   print_expr(r, texts))
         case FNot(a):
-            return "(not %s)" % print_expr(a)
+            return "(not %s)" % print_expr(a, texts)
         case FAnd(l, r):
-            return "(%s and %s)" % (print_expr(l), print_expr(r))
+            return "(%s and %s)" % (print_expr(l, texts), print_expr(r, texts))
         case FIf(c, a, b):
             return "(if %s then %s else %s)" % (
-                print_expr(c), print_expr(a), print_expr(b))
+                print_expr(c, texts), print_expr(a, texts),
+                print_expr(b, texts))
         case FNil():
             return "nil"
         case FCons(h, t):
-            return "(%s :: %s)" % (print_expr(h), print_expr(t))
+            return "(%s :: %s)" % (print_expr(h, texts), print_expr(t, texts))
         case FListCase(s, n, k):
             return "(listcase %s of (%s, %s))" % (
-                print_expr(s), print_expr(n), print_expr(k))
+                print_expr(s, texts), print_expr(n, texts),
+                print_expr(k, texts))
         case FVar(v):
             return v
         case FApp(f, a):
-            return "(%s %s)" % (print_expr(f), print_expr(a))
+            return "(%s %s)" % (print_expr(f, texts), print_expr(a, texts))
         case FLam(v, b):
-            return "(\\%s. %s)" % (v, print_expr(b))
+            return "(\\%s. %s)" % (v, print_expr(b, texts))
         case FLetRec(v, bound, body):
             return "(letrec %s = %s in %s)" % (
-                v, print_expr(bound), print_expr(body))
+                v, print_expr(bound, texts), print_expr(body, texts))
 
 
 PLUGIN = LanguagePlugin(

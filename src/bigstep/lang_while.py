@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .imp_syntax import (ABin, AExp, AName, ANum, Assign, BAnd, BBool, BCmp,
                          BExp, BNot, If, Seq, Skip, Stmt, While, parse_whole,
-                         print_stmt)
+                         print_config)
 from .kernel import Conclude, LanguagePlugin, Need
 from .syntax import Node, Tokens, hash_once, sorted_put
 
@@ -158,9 +158,9 @@ def parse_config(src: str) -> WhileConfig:
     return WhileConfig(parse_stmt(prog), parse_state(state))
 
 
-def pretty(value) -> str:
+def pretty(value, texts=None) -> str:
     if isinstance(value, WhileConfig):
-        return "<%s | %s>" % (print_stmt(value.stmt), value.state)
+        return print_config(value.stmt, value.state, texts)
     if isinstance(value, WhileState):
         return str(value)
     return repr(value)

@@ -284,29 +284,38 @@ def test_json_output_is_byte_identical_across_runs(capsys):
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
     doc = json.loads(out1)
-    assert doc["schema_version"] == "1"
-    assert set(doc) >= {"status", "counterexamples", "stats", "budget"}
+    assert doc["schema_version"] == "2"
+    assert set(doc) >= {"status", "counterexamples", "stats", "budget",
+                        "traces", "terms"}
 
 
-# The README's command-line examples with `--format json`, and the SHA-256
-# of each one's output, recorded before nodes cached their hashes: neither
-# the hash seed nor how hashes are computed may change what a user sees.
+# The README's command-line examples with `--format json`, the SHA-256 of
+# each one's output, and the SHA-256 its schema 1 output had, recorded
+# before nodes cached their hashes: neither the hash seed nor how hashes are
+# computed may change what a user sees.  Schema 2 added the `traces` and
+# `terms` tables and changed nothing else in these documents.
 README_JSON_DIGESTS = [
     (("run", "--lang", "while", "--config",
       "fac := m ; while 1 < m do (m := m - 1 ; fac := fac * m)",
       "--state", "m=5"),
+     "faa56e8834a80565ba65b9c98e7aa31541862940b08f9c347ded13c7c828d388",
      "5d93014518cf89e5b2eefd99b3b17954181618fe5bed080fc5808e6fe01e2c1d"),
     (("derive", "--lang", "fun", "--config", "1 :: 2 :: nil"),
+     "acbb03161995581047570a74c0aff7a331cbae6c23c6c8aecbc16a4fd3bde16e",
      "ff76fc707bfaae5da4e297bccc48df75c9171215cd85bb819c04fee01911653e"),
     (("check-verif", "--lang", "while", "--spec", "fac", "--m", "1..6"),
+     "07c1c50143205fbf8e867bad1b81489f5cda3d052816405ffb4f109518dc81a7",
      "a56e6257650bcf726b3c75348863bce9eb797b434ee5f9a0e7a8a80f829f3ef3"),
     (("check-verif", "--lang", "extwhile", "--spec", "msort", "--count", "8",
       "--depth", "512"),
+     "c0e4f04c1d6971074008091b479e54b3381376c154f6779b6db3d662f60d0277",
      "0d244bab300d6e3f3387ef9ad569d6fea4e3ca82498c69f2ba5157f12f5bf7e6"),
     (("crosscheck", "--lang", "fun", "--spec", "mglist", "--count", "6",
       "--depth", "512"),
+     "666f8f94395b2c8b70d75b16f67d265f7dca0c78b8833de3e3dba1455ca419c3",
      "a39a8b919ab7a4046c189e4851f29f4112a18163c84b643345b056b05dfd141e"),
     (("star-check", "--lang", "while", "--depth", "8", "--count", "50"),
+     "8c67820bfc83fb66bb14414340b3b7db588b52c82c3c40d2b144002e52ea1b28",
      "01da192c1f4dd3aa4298d0293f75ff860d71193ca9d7f41e3b81cae4fa39b1c7"),
 ]
 
@@ -315,12 +324,45 @@ README_JSON_DIGESTS = [
 def test_readme_json_output_is_byte_identical_across_hash_seeds(hash_seed):
     src = os.path.dirname(os.path.dirname(os.path.abspath(bigstep.__file__)))
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-    for argv, digest in README_JSON_DIGESTS:
+    for argv, digest, _ in README_JSON_DIGESTS:
         proc = subprocess.run(
             [sys.executable, "-m", "bigstep", *argv, "--format", "json"],
             env=env, capture_output=True, timeout=120)
         assert proc.returncode == 0, (argv, proc.stderr.decode())
         assert hashlib.sha256(proc.stdout).hexdigest() == digest, argv
+
+
+def test_counterexample_tables_are_byte_identical_across_hash_seeds():
+    # The README's examples all pass, so their `traces` and `terms` are
+    # empty; these tables fill in the order the report meets terms.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bigstep.__file__)))
+    argv = ("check-verif", "--lang", "fun", "--spec", "mglist-len",
+            "--count", "3", "--depth", "512", "--format", "json")
+    outs = []
+    for hash_seed in ("0", "4242"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bigstep", *argv],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+            capture_output=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    assert doc["counterexamples"] and doc["traces"] and doc["terms"]
+
+
+def test_readme_json_output_without_the_tables_is_schema_1(capsys):
+    for argv, digest, schema_1_digest in README_JSON_DIGESTS:
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        doc = json.loads(out)
+        doc.pop("traces", None)
+        doc.pop("terms", None)
+        doc["schema_version"] = "1"
+        old = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(old.encode()).hexdigest() == schema_1_digest, \
+            argv
 
 
 def test_environment_variables_override_budget(capsys, monkeypatch):

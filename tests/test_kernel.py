@@ -9,7 +9,9 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import bigstep
 from bigstep import PLUGINS, kernel, spec_lib
@@ -25,6 +27,8 @@ from bigstep.lang_while import PLUGIN as WHILE, While, WhileConfig, \
 from bigstep.random_programs import loop_free_corpus, random_corpus
 from bigstep.spec_lib import (fac_corpus, mglist_corpus, msort_corpus,
                               spec_fac, spec_fac_bad)
+from bigstep.syntax import Node
+from schema1 import expand
 
 B = SampleBudget(max_depth=48, max_samples=8, seed=0)
 
@@ -352,8 +356,27 @@ def test_check_valid_statuses():
                        shallow).status == BUDGET_EXHAUSTED
 
 
+def _json_depth(doc) -> int:
+    """How deep lists and dicts nest in `doc`: 0 for a constant."""
+    deepest = 0
+    stack = [(doc, 0)]
+    while stack:
+        x, depth = stack.pop()
+        if isinstance(x, dict):
+            x = list(x.values())
+        if isinstance(x, list):
+            deepest = max(deepest, depth + 1)
+            stack.extend((y, depth + 1) for y in x)
+    return deepest
+
+
 def _digest(report, plugin=WHILE):
-    doc = json.dumps(report.to_dict(plugin), sort_keys=True)
+    """The digest of the report's schema 1 layout, pinned before schema 2
+    flattened it: `expand` must give back exactly those bytes."""
+    flat = report.to_dict(plugin)
+    # status/counterexamples/[i]/[field], traces/[i]/premises/[j]/[slot]
+    assert _json_depth(flat) <= 5
+    doc = json.dumps(expand(flat), sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
@@ -425,9 +448,11 @@ def test_crosscheck_reports_on_bundled_specs_are_pinned(
 def test_report_prints_each_node_once():
     printed = []
 
-    def pretty(node):
+    def pretty(node, texts=None):
+        # `texts` holds exactly the terms printed before, for reuse.
+        assert list(texts) == printed
         printed.append(node)
-        return WHILE.pretty(node)
+        return WHILE.pretty(node, texts)
 
     rep = check_verif(WHILE, spec_fac_bad(), fac_corpus(range(1, 5)),
                       SampleBudget(64, 16, 0))
@@ -435,6 +460,61 @@ def test_report_prints_each_node_once():
     doc = rep.to_dict(replace(WHILE, pretty=pretty))
     assert len(printed) == len(set(printed)) > 0
     assert doc == rep.to_dict(WHILE)
+
+
+def test_report_tables_refer_backwards_and_hold_each_term_once():
+    rep = check_verif(PLUGINS["fun"], spec_lib.SPECS["mglist-len"][1](),
+                      mglist_corpus(3, 1, max_len=4), SampleBudget(512, 8, 0))
+    assert rep.status == FAIL
+    doc = rep.to_dict(PLUGINS["fun"])
+    assert set(doc) == {"status", "counterexamples", "stats", "traces",
+                        "terms"}
+    terms, traces = doc["terms"], doc["traces"]
+    assert len(set(terms)) == len(terms) > 0
+    assert all(cx["trace"] is not None and 0 <= cx["trace"] < len(traces)
+               for cx in doc["counterexamples"])
+    for i, t in enumerate(traces):
+        assert 0 <= t["config"] < len(terms) and 0 <= t["result"] < len(terms)
+        for config, result, sub in t["premises"]:
+            assert 0 <= config < len(terms) and 0 <= result < len(terms)
+            assert sub is None or (0 <= sub < i
+                                   and traces[sub]["config"] == config
+                                   and traces[sub]["result"] == result)
+    for cx, full in zip(rep.counterexamples, doc["counterexamples"]):
+        root = traces[full["trace"]]
+        assert (terms[root["config"]], terms[root["result"]]) == (
+            full["config"], full["result"])
+        assert full["result"] == PLUGINS["fun"].pretty(cx.result)
+    assert _json_depth(doc) <= 5
+
+
+def _subterms(term) -> list:
+    """Every node strictly inside `term`, walked from an explicit stack."""
+    out, stack = [], [term]
+    while stack:
+        x = stack.pop()
+        if x is not term and isinstance(x, Node):
+            out.append(x)
+        if isinstance(x, tuple):
+            stack.extend(x)
+        elif isinstance(x, Node):
+            stack.extend(getattr(x, f) for f in x.__match_args__)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PLUGINS)), st.integers(0, 10_000),
+       st.randoms(use_true_random=False))
+def test_pretty_with_printed_subterms_is_pretty(lang, seed, rng):
+    plugin = PLUGINS[lang]
+    budget = SampleBudget(max_depth=40, max_samples=1, seed=0)
+    for config in random_corpus(lang, 4, seed):
+        for term in (config, *derive_all(plugin, config, budget)[0]):
+            texts = {sub: plugin.pretty(sub) for sub in _subterms(term)
+                     if rng.random() < 0.5}
+            before = dict(texts)
+            assert plugin.pretty(term, texts) == plugin.pretty(term)
+            assert texts == before
 
 
 def test_check_reports_are_deterministic():
@@ -585,6 +665,56 @@ def test_twenty_thousand_element_fun_list_hashes_and_derives():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "20000"
+
+
+# A counterexample whose trace is 40,000 loop iterations deep: the spec
+# rejects every result.  Rendering and replay must not recurse on its depth.
+_DEEP_COUNTEREXAMPLE = r"""
+import json
+import sys
+from bigstep import (PLUGINS, Constrained, SampleBudget, Specification,
+                     check_valid, replay_trace)
+from bigstep.lang_while import WhileConfig, WhileState, parse_stmt
+mode = sys.argv[1]
+if mode == "replay":
+    sys.setrecursionlimit(1000)
+plugin = PLUGINS["while"]
+reject = Specification((None,), lambda param, gamma: Constrained(
+    lambda r: False, lambda b: [], "no result"))
+g = WhileConfig(parse_stmt("while 0 < x do x := x - 1"),
+                WhileState.of({"x": 40000}))
+report = check_valid(plugin, reject, [g], SampleBudget(80010, 1, 0))
+(cx,) = report.counterexamples
+if mode == "render":
+    doc = json.loads(json.dumps(report.to_dict(plugin), sort_keys=True,
+                                indent=2))
+    print(len(doc["traces"]),
+          doc["counterexamples"][0]["result"] == plugin.pretty(cx.result))
+else:
+    print(sys.getrecursionlimit(), replay_trace(plugin, cx.trace) == cx.result)
+"""
+
+
+def _deep_counterexample(mode):
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(
+        bigstep.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEP_COUNTEREXAMPLE, mode],
+        env=dict(os.environ, PYTHONPATH=src_dir), capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.split()
+
+
+def test_forty_thousand_deep_counterexample_renders_as_json():
+    # Schema 1 nested the trace, and `json.dumps` of it overflowed the C
+    # stack (SIGSEGV); the flat tables nest no deeper than a constant.
+    traces, same_result = _deep_counterexample("render")
+    assert int(traces) >= 40_000 and same_result == "True"
+
+
+def test_forty_thousand_deep_trace_replays_on_the_default_stack():
+    assert _deep_counterexample("replay") == ["1000", "True"]
 
 
 # ---------------------------------------------------------------------------
