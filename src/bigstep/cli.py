@@ -229,15 +229,16 @@ def _report_exit(args, budget, plugin, report: CheckReport,
     doc = _base_doc(args, budget)
     doc.update(report.to_dict(plugin))
     doc["stats"] = dict(report.stats, corpus_size=corpus_size)
-    lines = ["status: %s" % report.status,
+    # The text lines are read off the document, so nothing prints twice.
+    lines = ["status: %s" % doc["status"],
              "corpus size: %d" % corpus_size]
-    for key, val in sorted(report.stats.items()):
-        lines.append("%s: %s" % (key, val))
-    for cx in report.counterexamples:
-        lines.append("counterexample (param=%r):" % (cx.param,))
-        lines.append("  config:   %s" % plugin.pretty(cx.config))
-        lines.append("  result:   %s" % plugin.pretty(cx.result))
-        lines.append("  expected: %s" % cx.expected)
+    lines += ["%s: %s" % kv for kv in sorted(doc["stats"].items())
+              if kv[0] != "corpus_size"]
+    for cx in doc["counterexamples"]:
+        lines += ["counterexample (param=%s):" % cx["param"],
+                  "  config:   %s" % cx["config"],
+                  "  result:   %s" % cx["result"],
+                  "  expected: %s" % cx["expected"]]
     _emit(args, doc, lines)
     if report.status == PASS:
         return EXIT_PASS

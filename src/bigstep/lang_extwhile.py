@@ -266,14 +266,15 @@ def ext_rules(gamma: ExtConfig) -> list:
 # Concrete syntax
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = [":=", ";", "(", ")", "[", "]", "{", "}", "+", "-", "*", "/",
-            "<=", "<", "=", ",", "@"]
-_KEYWORDS = {"skip", "if", "then", "else", "while", "do", "true", "false",
-             "and", "not", "var", "array", "call", "fun", "returns"}
+# The symbols and keywords of ExtWhile's `Tokens`.
+LEXICON = ([":=", ";", "(", ")", "[", "]", "{", "}", "+", "-", "*", "/",
+            "<=", "<", "=", ",", "@"],
+           {"skip", "if", "then", "else", "while", "do", "true", "false",
+            "and", "not", "var", "array", "call", "fun", "returns"})
 
 
 def _toks(src: str) -> Tokens:
-    return Tokens(src, _SYMBOLS, _KEYWORDS)
+    return Tokens(src, *LEXICON)
 
 
 def parse_stmt(src: str) -> Stmt:

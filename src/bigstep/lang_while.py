@@ -123,13 +123,14 @@ def while_rules(gamma: WhileConfig) -> list:
 # Concrete syntax
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = [":=", ";", "(", ")", "+", "-", "*", "<", "=", ",", "||"]
-_KEYWORDS = {"skip", "if", "then", "else", "while", "do",
-             "true", "false", "and", "not"}
+# The symbols and keywords of While's `Tokens`.
+LEXICON = ([":=", ";", "(", ")", "+", "-", "*", "<", "=", ",", "||"],
+           {"skip", "if", "then", "else", "while", "do",
+            "true", "false", "and", "not"})
 
 
 def _toks(src: str) -> Tokens:
-    return Tokens(src, _SYMBOLS, _KEYWORDS)
+    return Tokens(src, *LEXICON)
 
 
 def parse_stmt(src: str) -> Stmt:

@@ -5,6 +5,12 @@ the shallow loop-free corpus over which the most-informative specification
 is checked.  Generated programs may be stuck or divergent; both are fine
 for the checks they feed (stuck configurations derive nothing, divergence
 is cut by the depth budget).
+
+While and ExtWhile share one grammar, ExtWhile's; each language draws only
+the forms its `LEXICON` (the symbols and keywords of its `Tokens`) can
+parse: `[` for array reads and writes, `/`, and `var`, `array` and `call`.
+A missing form's share of a roll falls to the next form, so with every form
+in the lexicon the draws are ExtWhile's own.
 """
 
 from __future__ import annotations
@@ -21,67 +27,19 @@ _VARS = ("x", "y", "z")
 
 
 # ---------------------------------------------------------------------------
-# While
+# While and Extended While
 # ---------------------------------------------------------------------------
 
-def _wh_aexp(rng: random.Random, depth: int, ops: str = "+-*") -> imp.AExp:
-    if depth <= 0 or rng.random() < 0.4:
-        if rng.random() < 0.5:
-            return imp.ANum(rng.randint(-3, 3))
-        return imp.AName(rng.choice(_VARS))
-    op = rng.choice(ops)
-    return imp.ABin(op, _wh_aexp(rng, depth - 1, ops),
-                    _wh_aexp(rng, depth - 1, ops))
+def _grammar(lexicon) -> tuple:
+    """`lexicon`'s token texts and its arithmetic operators, outside and
+    inside loop bodies (which do not multiply, so values stay small)."""
+    symbols, keywords = lexicon
+    ops = "".join(op for op in "+-*/" if op in symbols)
+    return frozenset(symbols) | keywords, ops, ops.replace("*", "")
 
 
-def _wh_bexp(rng: random.Random, depth: int) -> imp.BExp:
-    if depth <= 0:
-        return imp.BCmp(rng.choice("=<"), _wh_aexp(rng, 1), _wh_aexp(rng, 1))
-    roll = rng.random()
-    if roll < 0.15:
-        return imp.BBool(rng.random() < 0.5)
-    if roll < 0.35:
-        return imp.BNot(_wh_bexp(rng, depth - 1))
-    if roll < 0.55:
-        return imp.BAnd(_wh_bexp(rng, depth - 1), _wh_bexp(rng, depth - 1))
-    return imp.BCmp(rng.choice("=<"), _wh_aexp(rng, 1), _wh_aexp(rng, 1))
-
-
-def _wh_stmt(rng: random.Random, depth: int, allow_loops: bool,
-             in_loop: bool = False) -> imp.Stmt:
-    # Inside loop bodies the arithmetic is additive only, so repeated
-    # iterations cannot blow values up multiplicatively.
-    ops = "+-" if in_loop else "+-*"
-    if depth <= 0 or rng.random() < 0.25:
-        if rng.random() < 0.2:
-            return imp.Skip()
-        return imp.Assign(rng.choice(_VARS), _wh_aexp(rng, 2, ops))
-    roll = rng.random()
-    if allow_loops and roll < 0.2:
-        # Bounded countdown loops terminate; budget cuts the rest.
-        v = rng.choice(_VARS)
-        body = imp.Seq(imp.Assign(v, imp.ABin("-", imp.AName(v), imp.ANum(1))),
-                       _wh_stmt(rng, depth - 1, False, True))
-        return imp.While(imp.BCmp("<", imp.ANum(0), imp.AName(v)), body)
-    if roll < 0.55:
-        return imp.Seq(_wh_stmt(rng, depth - 1, allow_loops, in_loop),
-                       _wh_stmt(rng, depth - 1, allow_loops, in_loop))
-    return imp.If(_wh_bexp(rng, 1),
-                  _wh_stmt(rng, depth - 1, allow_loops, in_loop),
-                  _wh_stmt(rng, depth - 1, allow_loops, in_loop))
-
-
-def random_while_config(seed: int, index: int,
-                        allow_loops: bool = True) -> wh.WhileConfig:
-    rng = seeded_rng(seed, "while", index, allow_loops)
-    state = wh.WhileState.of(
-        {v: rng.randint(-2, 3) for v in _VARS if rng.random() < 0.7})
-    return wh.WhileConfig(_wh_stmt(rng, 3, allow_loops), state)
-
-
-# ---------------------------------------------------------------------------
-# Extended While
-# ---------------------------------------------------------------------------
+_WHILE = _grammar(wh.LEXICON)
+_EXTWHILE = _grammar(ew.LEXICON)
 
 _INC_PROGRAM = ew.ExtProgram((
     ("inc", ew.Func(("a",), ("r",),
@@ -90,67 +48,78 @@ _INC_PROGRAM = ew.ExtProgram((
 ))
 
 
-def _ew_aexp(rng: random.Random, depth: int,
-             ops: str = "+-*/") -> imp.AExp:
+def _aexp(rng: random.Random, depth: int, tokens: frozenset,
+          ops: str) -> imp.AExp:
     roll = rng.random()
     if depth <= 0 or roll < 0.35:
         if rng.random() < 0.5:
             return imp.ANum(rng.randint(-3, 3))
         return imp.AName(rng.choice(_VARS))
-    if roll < 0.5:
-        return imp.AIdx("A", _wh_to_ew(rng))
+    if roll < 0.5 and "[" in tokens:
+        return imp.AIdx("A", _index(rng))
     op = rng.choice(ops)
-    return imp.ABin(op, _ew_aexp(rng, depth - 1, ops),
-                    _ew_aexp(rng, depth - 1, ops))
+    return imp.ABin(op, _aexp(rng, depth - 1, tokens, ops),
+                    _aexp(rng, depth - 1, tokens, ops))
 
 
-def _wh_to_ew(rng: random.Random) -> imp.AExp:
+def _index(rng: random.Random) -> imp.AExp:
     if rng.random() < 0.6:
         return imp.ANum(rng.randint(0, 3))
     return imp.AName(rng.choice(_VARS))
 
 
-def _ew_bexp(rng: random.Random, depth: int) -> imp.BExp:
-    if depth <= 0:
-        return imp.BCmp(rng.choice("=<"), _ew_aexp(rng, 1),
-                        _ew_aexp(rng, 1))
-    roll = rng.random()
-    if roll < 0.2:
-        return imp.BNot(_ew_bexp(rng, depth - 1))
-    if roll < 0.4:
-        return imp.BAnd(_ew_bexp(rng, depth - 1), _ew_bexp(rng, depth - 1))
-    return imp.BCmp(rng.choice("=<"), _ew_aexp(rng, 1), _ew_aexp(rng, 1))
+def _bexp(rng: random.Random, depth: int, tokens: frozenset,
+          ops: str) -> imp.BExp:
+    if depth > 0:
+        roll = rng.random()
+        if roll < 0.2:
+            return imp.BNot(_bexp(rng, depth - 1, tokens, ops))
+        if roll < 0.4:
+            return imp.BAnd(_bexp(rng, depth - 1, tokens, ops),
+                            _bexp(rng, depth - 1, tokens, ops))
+    return imp.BCmp(rng.choice("=<"), _aexp(rng, 1, tokens, ops),
+                    _aexp(rng, 1, tokens, ops))
 
 
-def _ew_stmt(rng: random.Random, depth: int, allow_loops: bool,
-             in_loop: bool = False) -> imp.Stmt:
-    ops = "+-/" if in_loop else "+-*/"
+def _stmt(rng: random.Random, depth: int, grammar: tuple,
+          allow_loops: bool, in_loop: bool = False) -> imp.Stmt:
+    tokens, all_ops, loop_ops = grammar
+    ops = loop_ops if in_loop else all_ops
     if depth <= 0 or rng.random() < 0.25:
         roll = rng.random()
         if roll < 0.1:
             return imp.Skip()
-        if roll < 0.2:
+        if roll < 0.2 and "var" in tokens:
             return imp.VarDecl(rng.choice(("w", "v")))
-        if roll < 0.3:
+        if roll < 0.3 and "array" in tokens:
             return imp.ArrDecl("B", rng.randint(0, 3))
-        if roll < 0.45:
-            return imp.ArrAssign("A", _wh_to_ew(rng), _ew_aexp(rng, 1, ops))
-        if roll < 0.55:
-            return imp.Call("inc", (_ew_aexp(rng, 1, ops),),
+        if roll < 0.45 and "[" in tokens:
+            return imp.ArrAssign("A", _index(rng), _aexp(rng, 1, tokens, ops))
+        if roll < 0.55 and "call" in tokens:
+            return imp.Call("inc", (_aexp(rng, 1, tokens, ops),),
                             (rng.choice(_VARS),))
-        return imp.Assign(rng.choice(_VARS), _ew_aexp(rng, 2, ops))
+        return imp.Assign(rng.choice(_VARS), _aexp(rng, 2, tokens, ops))
     roll = rng.random()
     if allow_loops and roll < 0.15:
+        # Bounded countdown loops terminate; budget cuts the rest.
         v = rng.choice(_VARS)
         body = imp.Seq(imp.Assign(v, imp.ABin("-", imp.AName(v), imp.ANum(1))),
-                       _ew_stmt(rng, depth - 1, False, True))
+                       _stmt(rng, depth - 1, grammar, False, True))
         return imp.While(imp.BCmp("<", imp.ANum(0), imp.AName(v)), body)
     if roll < 0.55:
-        return imp.Seq(_ew_stmt(rng, depth - 1, allow_loops, in_loop),
-                       _ew_stmt(rng, depth - 1, allow_loops, in_loop))
-    return imp.If(_ew_bexp(rng, 1),
-                  _ew_stmt(rng, depth - 1, allow_loops, in_loop),
-                  _ew_stmt(rng, depth - 1, allow_loops, in_loop))
+        return imp.Seq(_stmt(rng, depth - 1, grammar, allow_loops, in_loop),
+                       _stmt(rng, depth - 1, grammar, allow_loops, in_loop))
+    return imp.If(_bexp(rng, 1, tokens, all_ops),
+                  _stmt(rng, depth - 1, grammar, allow_loops, in_loop),
+                  _stmt(rng, depth - 1, grammar, allow_loops, in_loop))
+
+
+def random_while_config(seed: int, index: int,
+                        allow_loops: bool = True) -> wh.WhileConfig:
+    rng = seeded_rng(seed, "while", index, allow_loops)
+    state = wh.WhileState.of(
+        {v: rng.randint(-2, 3) for v in _VARS if rng.random() < 0.7})
+    return wh.WhileConfig(_stmt(rng, 3, _WHILE, allow_loops), state)
 
 
 def random_extwhile_config(seed: int, index: int,
@@ -165,7 +134,8 @@ def random_extwhile_config(seed: int, index: int,
         heap = {i: rng.randint(-3, 3) for i in range(size)}
         nextloc = size
     state = ew.ExtState.of(names, heap, nextloc)
-    return ew.ExtConfig(_ew_stmt(rng, 3, allow_loops), state, _INC_PROGRAM)
+    return ew.ExtConfig(_stmt(rng, 3, _EXTWHILE, allow_loops), state,
+                        _INC_PROGRAM)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 classes, one grammar read with each language's lexicon, and one printer
 whose output parses back to the same text."""
 
+from dataclasses import fields
+
 import pytest
 
 from bigstep import imp_syntax, lang_extwhile, lang_while
@@ -64,6 +66,35 @@ def test_extwhile_reads_the_same_words_as_keywords():
     assert lang_extwhile.parse_stmt("var x") == imp_syntax.VarDecl("x")
     with pytest.raises(ParseError):
         lang_extwhile.parse_stmt("var := 1")
+
+
+def _nodes(root):
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            stack.extend(x)
+        elif isinstance(x, Node):
+            yield x
+            stack.extend(getattr(x, f.name) for f in fields(x))
+
+
+def test_generated_while_programs_stay_within_the_while_lexicon():
+    seen = set()
+    for config in random_corpus("while", 500, 1) + loop_free_corpus(
+            "while", 300, 0):
+        for node in _nodes(config.stmt):
+            seen.add(type(node))
+            assert not isinstance(node, (
+                imp_syntax.AIdx, imp_syntax.ArrAssign, imp_syntax.VarDecl,
+                imp_syntax.ArrDecl, imp_syntax.Call)), config
+            assert not (isinstance(node, imp_syntax.ABin)
+                        and node.op == "/"), config
+    # Every other form is still drawn, except the boolean literals, which
+    # the shared grammar never draws (test_while covers them by hand).
+    assert {t.__name__ for t in seen} == {
+        "ANum", "AName", "ABin", "BCmp", "BAnd", "BNot",
+        "Skip", "Assign", "Seq", "If", "While"}
 
 
 def _generated(language):

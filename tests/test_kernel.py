@@ -599,6 +599,27 @@ def test_random_corpora_are_reproducible():
     assert loop_free_corpus("fun", 10, 5) == loop_free_corpus("fun", 10, 5)
 
 
+# sha256 over the printed configurations of three corpora, one line each.
+# While and ExtWhile share one generator; pinning ExtWhile's draws keeps
+# While's restriction of it from moving them.
+CORPUS_DIGESTS = {
+    "extwhile":
+        "42eb30c61f4d4ff1580e98e412e4d98c690412be77aff1b05c39aac981418f71",
+    "fun": "c0e28914d18345c6362f0a49d9aab88739cb93f23f6fd9503ea5c20ce3eb049a",
+}
+
+
+@pytest.mark.parametrize("lang", sorted(CORPUS_DIGESTS))
+def test_generated_corpora_are_pinned(lang):
+    pretty = PLUGINS[lang].pretty
+    h = hashlib.sha256()
+    for corpus in (random_corpus(lang, 500, 1), loop_free_corpus(lang, 17, 0),
+                   random_corpus(lang, 330, 7)):
+        for config in corpus:
+            h.update(pretty(config).encode() + b"\n")
+    assert h.hexdigest() == CORPUS_DIGESTS[lang]
+
+
 # ---------------------------------------------------------------------------
 # Deep derivations: the depth budget, not the Python stack, bounds them
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ agreement with an independent reference interpreter."""
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from bigstep.imp_syntax import print_stmt
 from bigstep.kernel import Conclude, Need, SampleBudget, derive_all, derive_one
 from bigstep.lang_while import (ABin, ANum, AVar, Assign, BAnd, BBool, BCmp,
                                 BNot, If, PLUGIN, Seq, Skip, While,
@@ -124,6 +125,21 @@ def test_parse_precedence_and_negatives():
         "x", ABin("+", ANum(1), ABin("*", ANum(2), ANum(-3))))
     assert parse_stmt("x := (1 + 2) * 3") == Assign(
         "x", ABin("*", ABin("+", ANum(1), ANum(2)), ANum(3)))
+
+
+def test_boolean_literals_parse_print_and_derive():
+    # The random programs draw no `true` or `false`; this one does.
+    text = ("x := 3 ; if (true and not false) then (y := 1) else (y := 2) ; "
+            "while (not x < 1 and true) do (x := (x - 1) ; z := (z + 2)) ; "
+            "if false then (skip) else (w := y)")
+    stmt = parse_stmt(text)
+    assert print_stmt(stmt) == text
+    assert stmt.second.first.cond == BAnd(BBool(True), BNot(BBool(False)))
+    assert stmt.second.second.first.cond == BAnd(
+        BNot(BCmp("<", AVar("x"), ANum(1))), BBool(True))
+    results, exhausted = derive_all(PLUGIN, WhileConfig(stmt, S({})), B)
+    assert not exhausted
+    assert list(results) == [S({"y": 1, "z": 6, "w": 1})]
 
 
 def test_seq_associates_right():
