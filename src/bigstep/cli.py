@@ -16,6 +16,7 @@ Exit codes: 0 pass / result, 1 check failed, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -57,9 +58,25 @@ def _parse_range(text: str) -> list[int]:
     return values
 
 
-def _budget(args) -> SampleBudget:
+def _flag_or_env(value, variable: str, default: int) -> int:
+    """A budget flag's value, else the environment variable's, else
+    `default`; the environment is read here, not when the parser is built."""
+    if value is not None:
+        return value
+    text = os.environ.get(variable)
+    if text is None:
+        return default
     try:
-        return SampleBudget(args.depth, args.samples, args.seed)
+        return int(text)
+    except ValueError as exc:
+        raise CliError("bad %s %r: not an integer" % (variable, text)) from exc
+
+
+def _budget(args) -> SampleBudget:
+    depth = _flag_or_env(args.depth, "BIGSTEP_DEPTH", 64)
+    samples = _flag_or_env(args.samples, "BIGSTEP_SAMPLES", 8)
+    try:
+        return SampleBudget(depth, samples, args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -251,7 +268,9 @@ def _report_exit(args, budget, plugin, report: CheckReport,
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="bigstep",
         description="Big-step semantics workbench: run programs and check "
@@ -263,13 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="language plugin: while | extwhile | fun")
         p.add_argument("--spec", default=None,
                        help="bundled spec name, 'star', or 'none'")
-        # A string default goes through `type` too, so a bad environment
-        # value is a usage error like a bad flag.
+        # No default: `_budget` falls back to the environment, then 64/8.
         p.add_argument("--depth", type=int,
-                       default=os.environ.get("BIGSTEP_DEPTH", "64"),
                        help="max derivation depth (env BIGSTEP_DEPTH)")
         p.add_argument("--samples", type=int,
-                       default=os.environ.get("BIGSTEP_SAMPLES", "8"),
                        help="max samples per spec set (env BIGSTEP_SAMPLES)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -300,9 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:

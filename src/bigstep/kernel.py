@@ -202,28 +202,28 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
           candidates=None):
     """Walk the derivations of `gamma` within `depth`, on an explicit stack.
 
-    The premise policy picks what a premise contributes and what a frame
-    returns:
+    Every frame, under every premise policy, is answered with (results,
+    exhausted, height): `height` is the derivation's height if it is not
+    exhausted and the budget it was cut at if it is.  Heights: a
+    configuration with no rule instance has height 0, an instance with no
+    premise counts 1, and a frame 1 + the largest height of the premises it
+    opened (memo hits at their stored height).  The premise policy picks
+    what `results` holds:
 
-    - "all": every result of the premise; returns (results, exhausted,
-      depth), `depth` being the derivation's height if it is not exhausted
-      and the budget it was cut at if it is.  `memo` keeps each derivation
-      no depth cut, keyed by (plugin, configuration), and answers a lookup
+    - "all": a tuple of every result.  `memo` keeps each derivation no
+      depth cut, keyed by (plugin, configuration), and answers a lookup
       from an entry whose height is within the budget; without one, the
       walk memoizes on a table of its own, dropped when it returns.  The
       walk keeps its cut answers in `cut`, keyed by (memo key, depth),
       until it returns.  `visit`, when given, is called on every
       configuration opened, in order; a memo hit opens nothing, and within
       one walk its configurations were visited when the entry was made.
-      Heights: a configuration with no rule instance has height 0, an
-      instance with no premise counts 1, and a frame 1 + the largest
-      height of the premises it opened (memo hits at their stored height).
-    - "first": the premise's first result only; returns the first result
-      of `gamma`, or None.  Depth 0 is cut without enumerating rules.
-    - "spec": a premise takes the (result, None) pairs that
-      `candidates(premise)` lists or, when that is None, every result
-      inferred for it below; returns ({result: InferTrace}, exhausted,
-      height).
+    - "first": the "all" walk without a memo, each frame stopping at its
+      first result, so a tuple of at most one.  Depth 0 is cut without
+      enumerating rules.
+    - "spec": {result: InferTrace}.  A premise takes the (result, None)
+      pairs that `candidates(premise)` lists or, when that is None, every
+      result inferred for it below.
 
     Work is done in exactly the order of a recursive walk that tries rule
     instances in order, derives a premise fully before feeding its results
@@ -237,18 +237,17 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
         memo = {}
     # The frame being worked on lives in locals: `top` is its (gamma,
     # depth, memo key); its rule instances `apps` start in order, `nxt`
-    # indexing the next one; work they start goes on `agenda`, a LIFO
-    # drained before the next instance starts.  `height` is the frame's
-    # height so far, and its depth once a premise is cut.  Agenda items are
-    # continuations (app, steps, rule index) and resume points (need,
-    # steps, rule index, candidates, next position) that feed a premise's
-    # next candidate result to `need.rest`; `steps` are the PremiseSteps
-    # taken so far and candidates are (result, sub-trace or None) pairs
-    # (spec policy only).  `out` maps each result to its InferTrace (spec)
-    # or None (all), in first-found order; the first policy keeps its one
-    # result there instead.  `waiting` is the (need, steps, rule index) of
-    # the premise being derived below.  Suspended frames are saved on
-    # `stack`.
+    # indexing the next one; resume points they leave go on `agenda`, a
+    # LIFO drained before the next instance starts.  A resume point (need,
+    # steps, rule index, candidates, position) feeds a premise's next
+    # candidate to `need.rest`, and the continuation it returns is worked
+    # on at once; `steps` are the PremiseSteps taken so far (spec policy
+    # only), and candidates are a premise's results, as (result, sub-trace
+    # or None) pairs under the spec policy.  `height` is the frame's height
+    # so far, and its depth once a premise is cut.  `out` maps each result
+    # to its InferTrace (spec) or None, in first-found order.  `waiting` is
+    # the (need, steps, rule index) of the premise being derived below.
+    # Suspended frames are saved on `stack`.
     stack: list = []
     top = None
     cut: dict = {}
@@ -258,7 +257,7 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
         key = None
         value = _OPEN
         if first and depth <= 0:
-            value = None
+            value = ((), True, 0)
         else:
             if memo is not None:
                 key = (plugin, gamma)
@@ -276,9 +275,8 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
                 elif len(opened) == 1 and isinstance(opened[0], Conclude):
                     # An axiom instance needs no frame.
                     r = opened[0].result
-                    value = (r if first else
-                             ({r: InferTrace(gamma, r, 0, ())}, False, 1)
-                             if infer else ((r,), False, 1))
+                    value = (({r: InferTrace(gamma, r, 0, ())} if infer
+                              else (r,)), False, 1)
                 if memo is not None and value is not _OPEN:
                     if value[1]:
                         cut[key, depth] = value
@@ -292,7 +290,7 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
                 stack.append((top, apps if nxt < len(apps) else (), nxt,
                               agenda, out, exhausted, height, waiting))
             top, apps, nxt, agenda = (gamma, depth, key), opened, 0, []
-            out, exhausted = None if first else {}, False
+            out, exhausted = {}, False
             height = 1 if opened else 0
 
         while True:
@@ -300,40 +298,28 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
                 # `value` answers the premise the frame waits on.
                 if top is None:
                     return value
-                if first:
-                    # One candidate at most: feed it to `rest` at once.
-                    if value is not None:
-                        cont = waiting[0].rest(value)
-                        if cont is not None:
-                            agenda.append((cont, (), waiting[2]))
-                    cands = ()
-                else:
-                    sub, ex, h = value
-                    exhausted = exhausted or ex
-                    if h >= height:
-                        height = h + 1
-                    cands = list(sub.items()) if infer else sub
-                if cands:
-                    agenda.append(waiting + (cands, 0))
+                sub, ex, h = value
+                exhausted = exhausted or ex
+                if h >= height:
+                    height = h + 1
+                if sub:
+                    agenda.append(waiting + (
+                        list(sub.items()) if infer else sub, 0))
                 value = _OPEN
 
             gamma = None
             while True:
                 if agenda:
-                    item = agenda.pop()
-                    if len(item) == 5:
-                        need, steps, idx, cands, pos = item
-                        if pos + 1 < len(cands):
-                            agenda.append((need, steps, idx, cands, pos + 1))
-                        r = cands[pos]
-                        if infer:
-                            r, sub = r
-                            steps += (PremiseStep(need.premise, r, sub),)
-                        cont = need.rest(r)
-                        if cont is not None:
-                            agenda.append((cont, steps, idx))
+                    need, steps, idx, cands, pos = agenda.pop()
+                    if pos + 1 < len(cands):
+                        agenda.append((need, steps, idx, cands, pos + 1))
+                    r = cands[pos]
+                    if infer:
+                        r, sub = r
+                        steps += (PremiseStep(need.premise, r, sub),)
+                    app = need.rest(r)
+                    if app is None:
                         continue
-                    app, steps, idx = item
                 elif nxt < len(apps):
                     app, steps, idx = apps[nxt], (), nxt
                     nxt += 1
@@ -341,11 +327,10 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
                     break
                 if isinstance(app, Conclude):
                     r = app.result
-                    if first:
-                        out = r
-                        break
                     if not infer:
                         out[r] = None
+                        if first:
+                            break
                     elif r not in out:
                         out[r] = InferTrace(top[0], r, idx, steps)
                     continue
@@ -359,15 +344,11 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
             if gamma is not None:
                 break  # open the premise
 
-            if first:
-                value = out
-            elif infer:
-                value = (out, exhausted, height)
-            else:
-                value = (tuple(out), exhausted, height)
-                if memo is not None and exhausted:
+            value = (out if infer else tuple(out), exhausted, height)
+            if memo is not None:
+                if exhausted:
                     cut[top[2], top[1]] = value
-                elif memo is not None:
+                else:
                     memo[top[2]] = value
             if stack:
                 (top, apps, nxt, agenda, out, exhausted, height,
@@ -402,12 +383,14 @@ def derive_one(plugin: LanguagePlugin, gamma: Config,
     """First derivable result, or None (stuck or budget cut).
 
     Fast path for deterministic languages; any value returned is a member of
-    derive_all's set for the same budget.  It keeps a premise policy of its
-    own because the all-walk, which tries every rule instance (both `if`
+    derive_all's set for the same budget.  Its "first" policy is the
+    all-walk without a memo, each frame stopping at its first result.  It
+    exists because the all-walk, which tries every rule instance (both `if`
     rules, say), gave the same results 10-18% slower on the merge-verify
     `fun` inputs and 5-10% slower on the `extwhile` ones.
     """
-    return _walk(plugin, gamma, budget.max_depth, "first")
+    results = _walk(plugin, gamma, budget.max_depth, "first")[0]
+    return results[0] if results else None
 
 
 # ---------------------------------------------------------------------------

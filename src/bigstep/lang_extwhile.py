@@ -284,10 +284,12 @@ def parse_stmt(src: str) -> Stmt:
 def parse_functions(src: str) -> ExtProgram:
     """Zero or more `fun f(p1, p2) returns (r1) { stmt }` definitions."""
     t = _toks(src)
-    funcs = []
+    funcs: dict = {}
     while not t.at_end():
         t.eat("fun")
         name = t.ident()
+        if name in funcs:
+            raise ParseError("function %s is defined twice" % name)
         t.eat("(")
         params = t.items(Tokens.ident, ")")
         t.eat(")")
@@ -301,8 +303,10 @@ def parse_functions(src: str) -> ExtProgram:
         t.eat("}")
         if len(set(params)) != len(params):
             raise ParseError("duplicate parameter names in %s" % name)
-        funcs.append((name, Func(tuple(params), tuple(rets), body)))
-    return ExtProgram(tuple(funcs))
+        if len(set(rets)) != len(rets):
+            raise ParseError("duplicate return names in %s" % name)
+        funcs[name] = Func(tuple(params), tuple(rets), body)
+    return ExtProgram(tuple(funcs.items()))
 
 
 def parse_state(src: str) -> ExtState:
@@ -311,7 +315,8 @@ def parse_state(src: str) -> ExtState:
     Array entries allocate bases in order of appearance starting at 0; an
     entry `S=[c0,..]@i` gives S extent i+len (indices 0..i+len-1) with the
     contents placed from index i.  `nextloc=` overrides the computed value;
-    it may not be below the cells the arrays take.
+    it may not be below the cells the arrays take.  Each name, `nextloc`
+    included, may be given once.
     """
     src = src.strip()
     names: dict[str, int] = {}
@@ -322,6 +327,8 @@ def parse_state(src: str) -> ExtState:
         t = _toks(src)
         while True:
             n = t.ident()
+            if n in names or n == "nextloc" and explicit_nextloc is not None:
+                raise ParseError("%s is given twice" % n)
             t.eat("=")
             if t.accept("["):
                 contents = t.items(Tokens.integer, "]")

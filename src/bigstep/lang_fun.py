@@ -479,7 +479,11 @@ def print_expr(e: FExpr, texts=None) -> str:
         case FVar(v):
             return v
         case FApp(f, a):
-            return "(%s %s)" % (print_expr(f, texts), print_expr(a, texts))
+            # A negative literal argument, printed bare, would parse back
+            # as a subtraction: `(f -3)` is `f - 3`.
+            form = "(%s (%s))" if isinstance(a, FNum) and a.value < 0 \
+                else "(%s %s)"
+            return form % (print_expr(f, texts), print_expr(a, texts))
         case FLam(v, b):
             return "(\\%s. %s)" % (v, print_expr(b, texts))
         case FLetRec(v, bound, body):

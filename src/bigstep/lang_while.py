@@ -15,7 +15,7 @@ from .imp_syntax import (ABin, AExp, AName, ANum, Assign, BAnd, BBool, BCmp,
                          BExp, BNot, If, Seq, Skip, Stmt, While, parse_whole,
                          print_config)
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import Node, Tokens, hash_once, sorted_put
+from .syntax import Node, ParseError, Tokens, hash_once, sorted_put
 
 AVar = AName  # a variable read; While has no arrays
 
@@ -145,6 +145,8 @@ def parse_state(src: str) -> WhileState:
     d = {}
     while True:
         x = t.ident()
+        if x in d:
+            raise ParseError("%s is given twice" % x)
         t.eat("=")
         d[x] = t.integer()
         if not t.accept(","):

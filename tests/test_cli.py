@@ -107,6 +107,20 @@ def test_parse_error_exits_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("lang,config,message", [
+    ("while", "skip || x=1, x=2", "x is given twice"),
+    ("extwhile", "skip || S=[1,2], S=[5]", "S is given twice"),
+    ("extwhile", "fun f() returns (r) { r := 1 } "
+     "fun f() returns (r) { r := 2 } || var y ; call f(; y) ||",
+     "function f is defined twice"),
+])
+def test_name_given_twice_exits_two(capsys, lang, config, message):
+    code, out, err = run_cli(capsys, "run", "--lang", lang,
+                             "--config", config)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_incompatible_spec_language_exits_two(capsys):
     code, _, err = run_cli(capsys, "check-verif", "--lang", "fun",
                            "--spec", "fac")
@@ -377,11 +391,12 @@ def test_report_prints_each_term_once_in_either_format(capsys, monkeypatch):
     assert len(json.loads(outs["json"])["terms"]) == 180
     assert counts == {"json": 180, "text": 180}
     # The bytes of both formats as they were when the text lines called
-    # `pretty` themselves.
+    # `pretty` themselves, except that the JSON traces now print a negative
+    # literal argument in parentheses.
     assert {fmt: hashlib.sha256(out.encode()).hexdigest()
             for fmt, out in outs.items()} == {
         "json":
-            "b33bfce4982a6ee21194b1e3c00d3d981f380b6e317b30d7f5804501feb64ed6",
+            "be8326701cca42545f8ca3ca493c1db4c392505031a5be96c0fcdf7190e8c71a",
         "text":
             "5649bd0559be8cd3d91f414e03a5d313d9672f4bb1479b1c2dc01a5156208622"}
 
@@ -412,6 +427,31 @@ def test_environment_variables_override_budget(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "run", "--lang", "while",
                            "--config", "x := 1")
     assert code == 2
+
+
+@pytest.mark.parametrize("variable", ["BIGSTEP_DEPTH", "BIGSTEP_SAMPLES"])
+def test_bad_environment_budget_exits_two_naming_the_variable(
+        capsys, monkeypatch, variable):
+    monkeypatch.setenv(variable, "banana")
+    code, out, err = run_cli(capsys, "run", "--lang", "while",
+                             "--config", "x := 1")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: bad %s 'banana': not an integer" % variable
+    # A flag overrides the variable, which is then not read.
+    flag = "--depth" if variable == "BIGSTEP_DEPTH" else "--samples"
+    code, out, _ = run_cli(capsys, "run", "--lang", "while",
+                           "--config", "x := 1", flag, "3")
+    assert code == 0 and out.strip() == "x=1"
+
+
+def test_parser_is_built_once_and_reads_the_environment_per_call(
+        capsys, monkeypatch):
+    assert _build_parser() is _build_parser()
+    for depth in ("7", "9"):
+        monkeypatch.setenv("BIGSTEP_DEPTH", depth)
+        _, out, _ = run_cli(capsys, "run", "--lang", "while",
+                            "--config", "x := 1", "--format", "json")
+        assert json.loads(out)["budget"]["depth"] == int(depth)
 
 
 def test_param_flag_restricts_the_checked_domain(capsys):

@@ -264,10 +264,25 @@ def test_merge_function_matches_sorted_concatenation(l, f1, f2):
     "fun f(a) returns (r) { { r := a } }",
     "fun f(a) returns (r) { r := a } }",
     "fun f(a, a) returns (r) { r := a }",
+    "fun f() returns (r, r) { r := 1 }",
+    # The first definition used to win silently: `call f(; y)` gave y=1.
+    "fun f() returns (r) { r := 1 } fun f() returns (r) { r := 2 }",
 ])
 def test_parse_functions_rejects_a_malformed_definition(src):
     with pytest.raises(ParseError):
         parse_functions(src)
+
+
+@pytest.mark.parametrize("src,name", [
+    ("x=1, x=2", "x"),
+    # The second array used to orphan the first one's cells.
+    ("S=[1,2], S=[5]", "S"),
+    ("S=[1], x=0, S=[2]@1", "S"),
+    ("S=[1], nextloc=3, nextloc=4", "nextloc"),
+])
+def test_parse_state_rejects_a_name_given_twice(src, name):
+    with pytest.raises(ParseError, match="%s is given twice" % name):
+        parse_state(src)
 
 
 def test_merge_program_source_parses_to_the_bundled_program():

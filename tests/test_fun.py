@@ -13,7 +13,7 @@ from bigstep.lang_fun import (FAnd, FApp, FBin, FBool, FCons, FIf, FLam,
                               FLetRec, FListCase, FNil, FNode, FNot, FNum,
                               FVar, PLUGIN, fun_rules, is_canonical,
                               occurrences, parse_expr, print_expr, subst)
-from bigstep.random_programs import random_corpus
+from bigstep.random_programs import loop_free_corpus, random_corpus
 from bigstep.spec_lib import cfm_of_list, list_of_lstcfm, merge_expr
 
 B = SampleBudget(max_depth=512, max_samples=4, seed=0)
@@ -348,6 +348,24 @@ def test_parse_print_round_trip():
     e = parse_expr(src)
     assert parse_expr(print_expr(e)) == e
     assert ev(e) == FNum(3)
+
+
+def test_negative_literal_argument_prints_in_parentheses():
+    e = FApp(FVar("f"), FNum(-3))
+    assert print_expr(e) == "(f (-3))"
+    assert parse_expr(print_expr(e)) == e
+    # Only an argument needs them: in function position and as an operand
+    # the literal prints bare and still parses back.
+    for e in (FApp(FNum(-3), FVar("f")), FBin("-", FVar("f"), FNum(-3))):
+        assert "(-3)" not in print_expr(e)
+        assert parse_expr(print_expr(e)) == e
+
+
+@pytest.mark.parametrize("seed", [1, 5, 7, 11])
+def test_generated_terms_parse_back_to_themselves(seed):
+    for e in (random_corpus("fun", 330, seed)
+              + loop_free_corpus("fun", 330, seed)):
+        assert parse_expr(print_expr(e)) == e, print_expr(e)
 
 
 def test_merge_expression_evaluates_to_sorted_merge():

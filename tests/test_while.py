@@ -2,6 +2,7 @@
 agreement with an independent reference interpreter."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from bigstep.imp_syntax import print_stmt
@@ -10,6 +11,7 @@ from bigstep.lang_while import (ABin, ANum, AVar, Assign, BAnd, BBool, BCmp,
                                 BNot, If, PLUGIN, Seq, Skip, While,
                                 WhileConfig, WhileState, aeval, beval,
                                 parse_config, parse_stmt, while_rules)
+from bigstep.syntax import ParseError
 
 S = WhileState.of
 B = SampleBudget(max_depth=64, max_samples=4, seed=0)
@@ -118,6 +120,13 @@ def test_parse_config_round_trip():
     reparsed = parse_config(PLUGIN.pretty(cfg).strip("<>").replace(" | ",
                                                                    " || "))
     assert reparsed == cfg
+
+
+def test_parse_state_rejects_a_name_given_twice():
+    # The last entry used to win silently: `x=1, x=2` gave x=2.
+    with pytest.raises(ParseError, match="x is given twice"):
+        parse_config("skip || x=1, y=0, x=2")
+    assert parse_config("skip || x=1, y=2").state == S({"x": 1, "y": 2})
 
 
 def test_parse_precedence_and_negatives():
