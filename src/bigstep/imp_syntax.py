@@ -308,7 +308,13 @@ def print_stmt(s: Stmt) -> str:
 
 
 def print_config(stmt: Stmt, state, texts=None) -> str:
-    """`<stmt | state>`; the state's entry in `texts`, if it has one, is
-    its text (see `kernel.LanguagePlugin`)."""
-    text = texts.get(state) if texts else None
-    return "<%s | %s>" % (print_stmt(stmt), state if text is None else text)
+    """`<stmt | state>`.  An entry in `texts` (see `kernel.LanguagePlugin`)
+    for the statement or the state is its text; a statement printed here
+    is entered in `texts`."""
+    if texts is None:
+        return "<%s | %s>" % (print_stmt(stmt), state)
+    code = texts.get(stmt)
+    if code is None:
+        code = texts[stmt] = print_stmt(stmt)
+    text = texts.get(state)
+    return "<%s | %s>" % (code, state if text is None else text)

@@ -63,11 +63,16 @@ class LanguagePlugin:
     """A language: rule enumeration plus concrete-syntax adapters.
 
     `rules(gamma)` returns every rule instance whose conclusion configuration
-    is `gamma`, in a fixed order; an empty list means `gamma` is stuck.
+    is `gamma`, in a fixed order; an empty list means `gamma` is stuck.  It
+    must be a pure function of `gamma`, and each continuation `Need.rest` a
+    pure function of the premise's result: derivations are memoized by
+    configuration.  A continuation may be any callable, `Conclude` itself
+    included.
     `pretty(value, texts=None)` prints a configuration or result; `texts`
     maps terms already printed in the same report to their text, and the
-    printer may use the entry of any subterm instead of printing it again
-    (it adds none), with the same output.
+    printer may use the entry of any subterm instead of printing it again,
+    with the same output.  It may also enter a subterm it printed, with the
+    text `pretty` gives that subterm; it changes no entry.
     Plugins compare and hash by identity: the derivation memo is keyed by
     the plugin object, so two plugins sharing a name never share results.
     """

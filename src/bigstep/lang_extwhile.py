@@ -18,7 +18,7 @@ from typing import Optional
 from .imp_syntax import (ABin, AExp, AIdx, AName, ANum, ArrAssign, ArrDecl,
                          Assign, BAnd, BBool, BCmp, BExp, BNot, Call, If, Seq,
                          Skip, Stmt, VarDecl, While, parse_seq, parse_whole,
-                         print_config)
+                         print_config, print_stmt)
 from .kernel import Conclude, LanguagePlugin, Need
 from .syntax import Node, ParseError, Tokens, hash_once, sorted_put
 
@@ -110,50 +110,52 @@ class ExtConfig(Node):
 # ---------------------------------------------------------------------------
 
 def aeval(a: AExp, st: ExtState) -> Optional[int]:
-    match a:
-        case ANum(v):
-            return v
-        case AName(n):
-            return st.name(n)
-        case AIdx(n, ix):
-            base = st.name(n)
-            i = aeval(ix, st)
-            if base is None or i is None or i < 0 \
-                    or base + i >= st.nextloc:
-                return None
-            return st.loc(base + i)
-        case ABin(op, l, r):
-            x, y = aeval(l, st), aeval(r, st)
-            if x is None or y is None:
-                return None
-            if op == "+":
-                return x + y
-            if op == "-":
-                return x - y
-            if op == "*":
-                return x * y
-            if op == "/":
-                # Division is partial at zero; floor division otherwise.
-                return None if y == 0 else x // y
+    # Nodes are final classes: an exact-class test per form, the most
+    # frequent first, matches what a class pattern would.
+    cls = type(a)
+    if cls is AName:
+        return st.name(a.name)
+    if cls is ANum:
+        return a.value
+    if cls is ABin:
+        x, y = aeval(a.left, st), aeval(a.right, st)
+        if x is None or y is None:
+            return None
+        op = a.op
+        if op == "+":
+            return x + y
+        if op == "-":
+            return x - y
+        if op == "*":
+            return x * y
+        if op == "/":
+            # Division is partial at zero; floor division otherwise.
+            return None if y == 0 else x // y
+    if cls is AIdx:
+        base = st.name(a.name)
+        i = aeval(a.index, st)
+        if base is None or i is None or i < 0 or base + i >= st.nextloc:
+            return None
+        return st.loc(base + i)
     raise ValueError("bad arithmetic expression: %r" % (a,))
 
 
 def beval(b: BExp, st: ExtState) -> Optional[bool]:
-    match b:
-        case BBool(v):
-            return v
-        case BCmp(op, l, r):
-            x, y = aeval(l, st), aeval(r, st)
-            if x is None or y is None:
-                return None
-            return x == y if op == "=" else x < y
-        case BAnd(l, r):
-            # Conjunction is two-valued: tt only when both operands are tt,
-            # ff in every other case (including undefined operands).
-            return beval(l, st) is True and beval(r, st) is True
-        case BNot(x):
-            v = beval(x, st)
-            return None if v is None else not v
+    cls = type(b)
+    if cls is BCmp:
+        x, y = aeval(b.left, st), aeval(b.right, st)
+        if x is None or y is None:
+            return None
+        return x == y if b.op == "=" else x < y
+    if cls is BNot:
+        v = beval(b.arg, st)
+        return None if v is None else not v
+    if cls is BAnd:
+        # Conjunction is two-valued: tt only when both operands are tt,
+        # ff in every other case (including undefined operands).
+        return beval(b.left, st) is True and beval(b.right, st) is True
+    if cls is BBool:
+        return b.value
     raise ValueError("bad boolean expression: %r" % (b,))
 
 
@@ -200,65 +202,67 @@ def call_fin(pre: ExtState, post: ExtState, rets, recvs) -> ExtState:
 def ext_rules(gamma: ExtConfig) -> list:
     """Rule instances concluding at `gamma`; an empty list means stuck."""
     stmt, st, prog = gamma.stmt, gamma.state, gamma.program
-    match stmt:
-        case Skip():
-            return [Conclude(st)]
-        case VarDecl(x):
-            if st.name(x) is None:
-                return [Conclude(st.with_name(x, 0))]
+    cls = type(stmt)
+    if cls is Assign:
+        v = aeval(stmt.expr, st)
+        x = stmt.var
+        if v is not None and st.name(x) is not None:
+            return [Conclude(st.with_name(x, v))]
+        return []
+    if cls is Seq:
+        second = stmt.second
+        return [Need(ExtConfig(stmt.first, st, prog),
+                     lambda mid: Need(ExtConfig(second, mid, prog),
+                                      Conclude))]
+    if cls is While:
+        guard = beval(stmt.cond, st)
+        if guard is None:
             return []
-        case ArrDecl(x, size):
-            if st.name(x) is None:
-                return [Conclude(st.with_name(x, st.nextloc)
-                                 .with_nextloc(st.nextloc + size))]
+        if guard:
+            return [Need(ExtConfig(stmt.body, st, prog),
+                         lambda mid: Need(ExtConfig(stmt, mid, prog),
+                                          Conclude))]
+        return [Conclude(st)]
+    if cls is ArrAssign:
+        base = st.name(stmt.name)
+        i = aeval(stmt.index, st)
+        v = aeval(stmt.expr, st)
+        if base is not None and i is not None and v is not None \
+                and i >= 0 and base + i < st.nextloc:
+            return [Conclude(st.with_loc(base + i, v))]
+        return []
+    if cls is If:
+        guard = beval(stmt.cond, st)
+        if guard is None:
             return []
-        case Assign(x, a):
-            v = aeval(a, st)
-            if v is not None and st.name(x) is not None:
-                return [Conclude(st.with_name(x, v))]
+        branch = stmt.then if guard else stmt.orelse
+        return [Need(ExtConfig(branch, st, prog), Conclude)]
+    if cls is Call:
+        func = prog.lookup(stmt.func)
+        args, recvs = stmt.args, stmt.recvs
+        if func is None or len(func.params) != len(args) \
+                or len(func.rets) != len(recvs):
             return []
-        case ArrAssign(x, ix, a):
-            base = st.name(x)
-            i = aeval(ix, st)
-            v = aeval(a, st)
-            if base is not None and i is not None and v is not None \
-                    and i >= 0 and base + i < st.nextloc:
-                return [Conclude(st.with_loc(base + i, v))]
+        vals = [aeval(a, st) for a in args]
+        if any(v is None for v in vals):
             return []
-        case If(b, s1, s2):
-            guard = beval(b, st)
-            if guard is None:
-                return []
-            branch = s1 if guard else s2
-            return [Need(ExtConfig(branch, st, prog),
-                         lambda fin: Conclude(fin))]
-        case While(b, body):
-            guard = beval(b, st)
-            if guard is None:
-                return []
-            if guard:
-                return [Need(ExtConfig(body, st, prog),
-                             lambda mid, _w=stmt: Need(
-                                 ExtConfig(_w, mid, prog),
-                                 lambda fin: Conclude(fin)))]
-            return [Conclude(st)]
-        case Seq(s1, s2):
-            return [Need(ExtConfig(s1, st, prog),
-                         lambda mid, _s2=s2: Need(
-                             ExtConfig(_s2, mid, prog),
-                             lambda fin: Conclude(fin)))]
-        case Call(f, args, recvs):
-            func = prog.lookup(f)
-            if func is None or len(func.params) != len(args) \
-                    or len(func.rets) != len(recvs):
-                return []
-            vals = [aeval(a, st) for a in args]
-            if any(v is None for v in vals):
-                return []
-            inner = call_ini(st, func.params, vals, func.rets)
-            return [Need(ExtConfig(func.body, inner, prog),
-                         lambda post, _st=st, _f=func, _r=recvs:
-                         Conclude(call_fin(_st, post, _f.rets, _r)))]
+        inner = call_ini(st, func.params, vals, func.rets)
+        return [Need(ExtConfig(func.body, inner, prog),
+                     lambda post: Conclude(call_fin(st, post, func.rets,
+                                                    recvs)))]
+    if cls is Skip:
+        return [Conclude(st)]
+    if cls is VarDecl:
+        x = stmt.var
+        if st.name(x) is None:
+            return [Conclude(st.with_name(x, 0))]
+        return []
+    if cls is ArrDecl:
+        x = stmt.name
+        if st.name(x) is None:
+            return [Conclude(st.with_name(x, st.nextloc)
+                             .with_nextloc(st.nextloc + stmt.size))]
+        return []
     raise ValueError("bad statement: %r" % (stmt,))
 
 
@@ -310,40 +314,54 @@ def parse_functions(src: str) -> ExtProgram:
 
 
 def parse_state(src: str) -> ExtState:
-    """`x=3, S=[1,3,5]@2, T=[0]@0, nextloc=12` assignment list.
+    """`x=3, S=[1,3,5]@2, T=[0]@0, [7]=4, nextloc=12` assignment list.
 
     Array entries allocate bases in order of appearance starting at 0; an
     entry `S=[c0,..]@i` gives S extent i+len (indices 0..i+len-1) with the
-    contents placed from index i.  `nextloc=` overrides the computed value;
-    it may not be below the cells the arrays take.  Each name, `nextloc`
-    included, may be given once.
+    contents placed from index i.  `[l]=v` puts v at location l, as the
+    printer writes a state's locations.  `nextloc=` overrides the computed
+    value; it may not be below the cells the arrays take.  Each name,
+    `nextloc` included, and each location may be given once.
     """
     src = src.strip()
     names: dict[str, int] = {}
     heap: dict[int, int] = {}
     base = 0
     explicit_nextloc = None
+
+    def put(location, value):
+        if location in heap:
+            raise ParseError("[%d] is given twice" % location)
+        heap[location] = value
+
     if src:
         t = _toks(src)
         while True:
-            n = t.ident()
-            if n in names or n == "nextloc" and explicit_nextloc is not None:
-                raise ParseError("%s is given twice" % n)
-            t.eat("=")
             if t.accept("["):
-                contents = t.items(Tokens.integer, "]")
+                location = t.integer()
                 t.eat("]")
-                start = t.integer() if t.accept("@") else 0
-                if start < 0:
-                    raise ParseError("array offset must be non-negative")
-                names[n] = base
-                for off, v in enumerate(contents):
-                    heap[base + start + off] = v
-                base += start + len(contents)
-            elif n == "nextloc":
-                explicit_nextloc = t.integer()
+                t.eat("=")
+                put(location, t.integer())
             else:
-                names[n] = t.integer()
+                n = t.ident()
+                if n in names \
+                        or n == "nextloc" and explicit_nextloc is not None:
+                    raise ParseError("%s is given twice" % n)
+                t.eat("=")
+                if n == "nextloc":
+                    explicit_nextloc = t.integer()
+                elif t.accept("["):
+                    contents = t.items(Tokens.integer, "]")
+                    t.eat("]")
+                    start = t.integer() if t.accept("@") else 0
+                    if start < 0:
+                        raise ParseError("array offset must be non-negative")
+                    names[n] = base
+                    for off, v in enumerate(contents):
+                        put(base + start + off, v)
+                    base += start + len(contents)
+                else:
+                    names[n] = t.integer()
             if not t.accept(","):
                 break
         t.expect_end()
@@ -374,6 +392,8 @@ def pretty(value, texts=None) -> str:
         return print_config(value.stmt, value.state, texts)
     if isinstance(value, ExtState):
         return str(value)
+    if isinstance(value, Stmt):
+        return print_stmt(value)
     return repr(value)
 
 

@@ -136,13 +136,11 @@ def is_canonical(e: FExpr) -> bool:
     """
     canon = e._canon
     if canon is None:
-        match e:
-            case FNum(_) | FBool(_) | FLam(_, _) | FNil():
-                canon = True
-            case FCons(h, t):
-                canon = is_canonical(h) and is_canonical(t)
-            case _:
-                canon = False
+        cls = type(e)
+        if cls is FCons:
+            canon = is_canonical(e.head) and is_canonical(e.tail)
+        else:
+            canon = cls is FNum or cls is FLam or cls is FNil or cls is FBool
         _set_canon(e, canon)
     return canon
 
@@ -170,25 +168,35 @@ def occurrences(e: FExpr) -> frozenset:
     occ = e._occ
     if occ is not None:
         return occ
-    match e:
-        case FNum(_) | FBool(_) | FNil():
-            occ = _NO_OCC
-        case FVar(v):
-            occ = frozenset((v,))
-        case FLam(v, body):
-            occ = _without(occurrences(body), v)
-        case FLetRec(v, bound, body):
-            # The bound lambda is entered even when `v` is the variable.
-            occ = _union(occurrences(bound), _without(occurrences(body), v))
-        case FBin(_, l, r) | FAnd(l, r) | FCons(l, r) | FApp(l, r):
-            occ = _union(occurrences(l), occurrences(r))
-        case FNot(a):
-            occ = occurrences(a)
-        case FIf(a, b, d) | FListCase(a, b, d):
-            occ = _union(_union(occurrences(a), occurrences(b)),
-                         occurrences(d))
-        case _:
-            raise ValueError("bad expression: %r" % (e,))
+    # Nodes are final classes: an exact-class test per form, the most
+    # frequent first, matches what a class pattern would.
+    cls = type(e)
+    if cls is FVar:
+        occ = frozenset((e.name,))
+    elif cls is FApp:
+        occ = _union(occurrences(e.func), occurrences(e.arg))
+    elif cls is FNum or cls is FNil or cls is FBool:
+        occ = _NO_OCC
+    elif cls is FLam:
+        occ = _without(occurrences(e.body), e.var)
+    elif cls is FBin or cls is FAnd:
+        occ = _union(occurrences(e.left), occurrences(e.right))
+    elif cls is FCons:
+        occ = _union(occurrences(e.head), occurrences(e.tail))
+    elif cls is FListCase:
+        occ = _union(_union(occurrences(e.scrutinee),
+                            occurrences(e.on_nil)), occurrences(e.on_cons))
+    elif cls is FIf:
+        occ = _union(_union(occurrences(e.cond), occurrences(e.then)),
+                     occurrences(e.orelse))
+    elif cls is FLetRec:
+        # The bound lambda is entered even when `v` is the variable.
+        occ = _union(occurrences(e.bound),
+                     _without(occurrences(e.body), e.var))
+    elif cls is FNot:
+        occ = occurrences(e.arg)
+    else:
+        raise ValueError("bad expression: %r" % (e,))
     _set_occ(e, occ)
     return occ
 
@@ -197,32 +205,34 @@ def subst(e: FExpr, x: str, c: FExpr) -> FExpr:
     if x not in occurrences(e):
         # Also covers constants and lambdas binding `x`.
         return e
-    match e:
-        case FBin(op, l, r):
-            return FBin(op, subst(l, x, c), subst(r, x, c))
-        case FNot(a):
-            return FNot(subst(a, x, c))
-        case FAnd(l, r):
-            return FAnd(subst(l, x, c), subst(r, x, c))
-        case FIf(a, b, d):
-            return FIf(subst(a, x, c), subst(b, x, c), subst(d, x, c))
-        case FCons(h, t):
-            return FCons(subst(h, x, c), subst(t, x, c))
-        case FListCase(s, n, k):
-            return FListCase(subst(s, x, c), subst(n, x, c), subst(k, x, c))
-        case FVar(_):
-            return c
-        case FApp(f, a):
-            return FApp(subst(f, x, c), subst(a, x, c))
-        case FLam(v, body):
-            return FLam(v, subst(body, x, c))
-        case FLetRec(v, bound, body):
-            # The binder shadows the body, but substitution still enters
-            # the bound lambda (which itself shadows via its own binder).
-            new_bound = subst(bound, x, c)
-            if v == x:
-                return FLetRec(v, new_bound, body)
-            return FLetRec(v, new_bound, subst(body, x, c))
+    cls = type(e)
+    if cls is FVar:
+        return c
+    if cls is FApp:
+        return FApp(subst(e.func, x, c), subst(e.arg, x, c))
+    if cls is FLam:
+        return FLam(e.var, subst(e.body, x, c))
+    if cls is FBin:
+        return FBin(e.op, subst(e.left, x, c), subst(e.right, x, c))
+    if cls is FCons:
+        return FCons(subst(e.head, x, c), subst(e.tail, x, c))
+    if cls is FListCase:
+        return FListCase(subst(e.scrutinee, x, c), subst(e.on_nil, x, c),
+                         subst(e.on_cons, x, c))
+    if cls is FIf:
+        return FIf(subst(e.cond, x, c), subst(e.then, x, c),
+                   subst(e.orelse, x, c))
+    if cls is FLetRec:
+        # The binder shadows the body, but substitution still enters
+        # the bound lambda (which itself shadows via its own binder).
+        v, new_bound = e.var, subst(e.bound, x, c)
+        if v == x:
+            return FLetRec(v, new_bound, e.body)
+        return FLetRec(v, new_bound, subst(e.body, x, c))
+    if cls is FNot:
+        return FNot(subst(e.arg, x, c))
+    if cls is FAnd:
+        return FAnd(subst(e.left, x, c), subst(e.right, x, c))
     raise ValueError("bad expression: %r" % (e,))
 
 
@@ -256,70 +266,72 @@ def fun_rules(e: FExpr) -> list:
     """
     if is_canonical(e):
         return [Conclude(e)]
-    match e:
-        case FBin(op, e1, e2):
-            def after_left(c1, _op=op, _e2=e2):
-                if not isinstance(c1, FNum):
+    cls = type(e)
+    if cls is FApp:
+        arg = e.arg
+        def after_func(cf):
+            if not isinstance(cf, FLam):
+                return None
+            def after_arg(ca):
+                if not is_canonical(ca):
                     return None
-                def after_right(c2, _c1=c1):
-                    if not isinstance(c2, FNum):
-                        return None
-                    out = _interp_arith(_op, _c1.value, c2.value)
-                    return None if out is None else Conclude(out)
-                return Need(_e2, after_right)
-            return [Need(e1, after_left)]
-        case FNot(e1):
-            return [Need(e1, lambda c: Conclude(FBool(not c.value))
-                         if isinstance(c, FBool) else None)]
-        case FAnd(e1, e2):
-            def after_left(c1, _e2=e2):
-                if not isinstance(c1, FBool):
+                return Need(subst(cf.body, cf.var, ca), Conclude)
+            return Need(arg, after_arg)
+        return [Need(e.func, after_func)]
+    if cls is FBin:
+        op, right = e.op, e.right
+        def after_left(c1):
+            if not isinstance(c1, FNum):
+                return None
+            def after_right(c2):
+                if not isinstance(c2, FNum):
                     return None
-                return Need(_e2, lambda c2, _c1=c1:
-                            Conclude(FBool(_c1.value and c2.value))
-                            if isinstance(c2, FBool) else None)
-            return [Need(e1, after_left)]
-        case FIf(cond, then, orelse):
-            return [
-                Need(cond, lambda c, _b=then:
-                     Need(_b, lambda r: Conclude(r))
-                     if c == FBool(True) else None),
-                Need(cond, lambda c, _b=orelse:
-                     Need(_b, lambda r: Conclude(r))
-                     if c == FBool(False) else None),
-            ]
-        case FCons(e1, e2):
-            return [Need(e1, lambda c: Need(
-                e2, lambda c2, _c=c: Conclude(FCons(_c, c2))))]
-        case FListCase(scrut, on_nil, on_cons):
-            return [
-                Need(scrut, lambda c, _b=on_nil:
-                     Need(_b, lambda r: Conclude(r))
-                     if c == FNil() else None),
-                Need(scrut, lambda c, _b=on_cons:
-                     Need(FApp(FApp(_b, c.head), c.tail),
-                          lambda r: Conclude(r))
-                     if isinstance(c, FCons) else None),
-            ]
-        case FApp(f, a):
-            def after_func(cf, _a=a):
-                if not isinstance(cf, FLam):
-                    return None
-                def after_arg(ca, _cf=cf):
-                    if not is_canonical(ca):
-                        return None
-                    return Need(subst(_cf.body, _cf.var, ca),
-                                lambda r: Conclude(r))
-                return Need(_a, after_arg)
-            return [Need(f, after_func)]
-        case FLetRec(v, bound, body):
-            if bound.var == v:
-                return []
-            unrolled = FApp(FLam(v, body),
-                            FLam(bound.var, FLetRec(v, bound, bound.body)))
-            return [Need(unrolled, lambda c: Conclude(c))]
-        case FVar(_):
+                out = _interp_arith(op, c1.value, c2.value)
+                return None if out is None else Conclude(out)
+            return Need(right, after_right)
+        return [Need(e.left, after_left)]
+    if cls is FListCase:
+        scrut, on_nil, on_cons = e.scrutinee, e.on_nil, e.on_cons
+        return [
+            Need(scrut, lambda c: Need(on_nil, Conclude)
+                 if c == FNil() else None),
+            Need(scrut, lambda c: Need(FApp(FApp(on_cons, c.head), c.tail),
+                                       Conclude)
+                 if isinstance(c, FCons) else None),
+        ]
+    if cls is FIf:
+        cond, then, orelse = e.cond, e.then, e.orelse
+        return [
+            Need(cond, lambda c: Need(then, Conclude)
+                 if c == FBool(True) else None),
+            Need(cond, lambda c: Need(orelse, Conclude)
+                 if c == FBool(False) else None),
+        ]
+    if cls is FCons:
+        tail = e.tail
+        return [Need(e.head, lambda c: Need(
+            tail, lambda c2: Conclude(FCons(c, c2))))]
+    if cls is FLetRec:
+        v, bound = e.var, e.bound
+        if bound.var == v:
             return []
+        unrolled = FApp(FLam(v, e.body),
+                        FLam(bound.var, FLetRec(v, bound, bound.body)))
+        return [Need(unrolled, Conclude)]
+    if cls is FNot:
+        return [Need(e.arg, lambda c: Conclude(FBool(not c.value))
+                     if isinstance(c, FBool) else None)]
+    if cls is FAnd:
+        right = e.right
+        def after_left(c1):
+            if not isinstance(c1, FBool):
+                return None
+            return Need(right, lambda c2:
+                        Conclude(FBool(c1.value and c2.value))
+                        if isinstance(c2, FBool) else None)
+        return [Need(e.left, after_left)]
+    if cls is FVar:
+        return []
     raise ValueError("bad expression: %r" % (e,))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .imp_syntax import (ABin, AExp, AName, ANum, Assign, BAnd, BBool, BCmp,
                          BExp, BNot, If, Seq, Skip, Stmt, While, parse_whole,
-                         print_config)
+                         print_config, print_stmt)
 from .kernel import Conclude, LanguagePlugin, Need
 from .syntax import Node, ParseError, Tokens, hash_once, sorted_put
 
@@ -60,32 +60,38 @@ class WhileConfig(Node):
 # ---------------------------------------------------------------------------
 
 def aeval(a: AExp, s: WhileState) -> int:
-    match a:
-        case ANum(v):
-            return v
-        case AName(x):
-            return s.get(x)
-        case ABin("+", l, r):
-            return aeval(l, s) + aeval(r, s)
-        case ABin("-", l, r):
-            return aeval(l, s) - aeval(r, s)
-        case ABin("*", l, r):
-            return aeval(l, s) * aeval(r, s)
+    # Nodes are final classes: an exact-class test per form, the most
+    # frequent first, matches what a class pattern would.
+    cls = type(a)
+    if cls is AName:
+        return s.get(a.name)
+    if cls is ANum:
+        return a.value
+    if cls is ABin:
+        op = a.op
+        if op == "+":
+            return aeval(a.left, s) + aeval(a.right, s)
+        if op == "-":
+            return aeval(a.left, s) - aeval(a.right, s)
+        if op == "*":
+            return aeval(a.left, s) * aeval(a.right, s)
     raise ValueError("bad arithmetic expression: %r" % (a,))
 
 
 def beval(b: BExp, s: WhileState) -> bool:
-    match b:
-        case BBool(v):
-            return v
-        case BCmp("=", l, r):
-            return aeval(l, s) == aeval(r, s)
-        case BCmp("<", l, r):
-            return aeval(l, s) < aeval(r, s)
-        case BAnd(l, r):
-            return beval(l, s) and beval(r, s)
-        case BNot(x):
-            return not beval(x, s)
+    cls = type(b)
+    if cls is BCmp:
+        op = b.op
+        if op == "<":
+            return aeval(b.left, s) < aeval(b.right, s)
+        if op == "=":
+            return aeval(b.left, s) == aeval(b.right, s)
+    if cls is BNot:
+        return not beval(b.arg, s)
+    if cls is BAnd:
+        return beval(b.left, s) and beval(b.right, s)
+    if cls is BBool:
+        return b.value
     raise ValueError("bad boolean expression: %r" % (b,))
 
 
@@ -96,26 +102,23 @@ def beval(b: BExp, s: WhileState) -> bool:
 def while_rules(gamma: WhileConfig) -> list:
     """Rule instances concluding at `gamma`; at most one applies."""
     stmt, s = gamma.stmt, gamma.state
-    match stmt:
-        case Skip():
-            return [Conclude(s)]
-        case Assign(x, a):
-            return [Conclude(s.set(x, aeval(a, s)))]
-        case Seq(s1, s2):
-            return [Need(WhileConfig(s1, s),
-                         lambda mid, _s2=s2: Need(
-                             WhileConfig(_s2, mid),
-                             lambda fin: Conclude(fin)))]
-        case If(b, s1, s2):
-            branch = s1 if beval(b, s) else s2
-            return [Need(WhileConfig(branch, s), lambda fin: Conclude(fin))]
-        case While(b, body):
-            if beval(b, s):
-                return [Need(WhileConfig(body, s),
-                             lambda mid, _w=stmt: Need(
-                                 WhileConfig(_w, mid),
-                                 lambda fin: Conclude(fin)))]
-            return [Conclude(s)]
+    cls = type(stmt)
+    if cls is Assign:
+        return [Conclude(s.set(stmt.var, aeval(stmt.expr, s)))]
+    if cls is Seq:
+        second = stmt.second
+        return [Need(WhileConfig(stmt.first, s),
+                     lambda mid: Need(WhileConfig(second, mid), Conclude))]
+    if cls is While:
+        if beval(stmt.cond, s):
+            return [Need(WhileConfig(stmt.body, s),
+                         lambda mid: Need(WhileConfig(stmt, mid), Conclude))]
+        return [Conclude(s)]
+    if cls is If:
+        branch = stmt.then if beval(stmt.cond, s) else stmt.orelse
+        return [Need(WhileConfig(branch, s), Conclude)]
+    if cls is Skip:
+        return [Conclude(s)]
     raise ValueError("bad statement: %r" % (stmt,))
 
 
@@ -166,6 +169,8 @@ def pretty(value, texts=None) -> str:
         return print_config(value.stmt, value.state, texts)
     if isinstance(value, WhileState):
         return str(value)
+    if isinstance(value, Stmt):
+        return print_stmt(value)
     return repr(value)
 
 

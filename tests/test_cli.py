@@ -121,6 +121,14 @@ def test_name_given_twice_exits_two(capsys, lang, config, message):
     assert message in err
 
 
+def test_array_named_nextloc_exits_two(capsys):
+    # It used to be an array whose base printed as a second `nextloc=`.
+    code, out, err = run_cli(capsys, "run", "--lang", "extwhile",
+                             "--config", "skip || nextloc=[7,8]")
+    assert code == 2 and out == ""
+    assert "expected integer" in err
+
+
 def test_incompatible_spec_language_exits_two(capsys):
     code, _, err = run_cli(capsys, "check-verif", "--lang", "fun",
                            "--spec", "fac")

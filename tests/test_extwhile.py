@@ -2,18 +2,20 @@
 initialization/finalization equations, partial expression evaluation, and
 the array-merge function against a list oracle."""
 
+import re
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from bigstep.kernel import Conclude, Need, SampleBudget, derive_one
-from bigstep.lang_extwhile import (ABin, AIdx, AName, ANum, ArrAssign,
-                                   ArrDecl, Assign, BAnd, BCmp, BNot, Call,
-                                   ExtConfig, ExtProgram, ExtState, Func, If,
-                                   PLUGIN, Seq, Skip, VarDecl, While, aeval,
-                                   beval, call_fin, call_ini, ext_rules,
-                                   parse_config, parse_functions, parse_state,
-                                   parse_stmt)
+from bigstep.lang_extwhile import (LEXICON, PLUGIN, ABin, AIdx, AName, ANum,
+                                   ArrAssign, ArrDecl, Assign, BAnd, BCmp,
+                                   BNot, Call, ExtConfig, ExtProgram,
+                                   ExtState, Func, If, Seq, Skip, VarDecl,
+                                   While, aeval, beval, call_fin, call_ini,
+                                   ext_rules, parse_config, parse_functions,
+                                   parse_state, parse_stmt)
 from bigstep.spec_lib import (MERGE_FUNCTIONS_SRC, MERGE_PROGRAM,
                               merge_call_config)
 from bigstep.syntax import ParseError
@@ -279,10 +281,39 @@ def test_parse_functions_rejects_a_malformed_definition(src):
     ("S=[1,2], S=[5]", "S"),
     ("S=[1], x=0, S=[2]@1", "S"),
     ("S=[1], nextloc=3, nextloc=4", "nextloc"),
+    ("[1]=2, [1]=3", "[1]"),
+    ("S=[1,2], [1]=5", "[1]"),
+    ("[0]=4, S=[1]", "[0]"),
 ])
 def test_parse_state_rejects_a_name_given_twice(src, name):
-    with pytest.raises(ParseError, match="%s is given twice" % name):
+    with pytest.raises(ParseError,
+                       match=re.escape("%s is given twice" % name)):
         parse_state(src)
+
+
+def test_printed_state_with_arrays_parses_back():
+    state = parse_state("S=[1,2], x=3")
+    assert str(state) == "S=0, x=3, [0]=1, [1]=2, nextloc=2"
+    assert parse_state(str(state)) == state
+    # A location need not lie below nextloc: a call keeps the cells of
+    # arrays its callee allocated, and the caller's nextloc.
+    assert str(parse_state("[-2]=1, [5]=3, nextloc=1")) == \
+        "[-2]=1, [5]=3, nextloc=1"
+
+
+_STATE_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}",
+                             fullmatch=True).filter(
+    lambda n: n not in LEXICON[1] and n != "nextloc")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_STATE_NAMES, st.integers(-50, 50), max_size=5),
+       st.dictionaries(st.integers(-5, 40), st.integers(-50, 50),
+                       max_size=8),
+       st.integers(0, 40))
+def test_every_printed_state_parses_back(names, heap, nextloc):
+    state = ExtState.of(names, heap, nextloc)
+    assert parse_state(str(state)) == state
 
 
 def test_merge_program_source_parses_to_the_bundled_program():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 import bigstep
-from bigstep import PLUGINS, kernel, spec_lib
+from bigstep import PLUGINS, imp_syntax, kernel, spec_lib
 from bigstep.kernel import (BUDGET_EXHAUSTED, UNIVERSE, Conclude,
                             Constrained, FAIL, PASS, PRECONDITION_FAILED,
                             SampleBudget,
@@ -22,6 +22,7 @@ from bigstep.kernel import (BUDGET_EXHAUSTED, UNIVERSE, Conclude,
                             check_valid, check_verif, derive_all, derive_one,
                             infer_results, replay_trace,
                             seeded_rng, spec_refines, star_spec, trivial_spec)
+from bigstep.imp_syntax import Stmt, print_stmt
 from bigstep.lang_while import PLUGIN as WHILE, While, WhileConfig, \
     WhileState, parse_stmt
 from bigstep.random_programs import loop_free_corpus, random_corpus
@@ -424,14 +425,16 @@ def test_crosscheck_samples_derived_results_at_constrained_premises():
 
 
 @pytest.mark.parametrize("spec_name,corpus,status,stats,digest", [
-    ("msort", lambda: msort_corpus(3, 0), PASS, (68, 9),
-     "735850d1bccc5612"),
-    ("msort-nosort", lambda: msort_corpus(3, 1), PRECONDITION_FAILED,
-     (41, 60), "4bbff2b84e88fc76"),
-    ("mglist", lambda: mglist_corpus(3, 0, max_len=4), PASS, (12, 3),
-     "ccb5c593a9c40fc3"),
-    ("mglist-len", lambda: mglist_corpus(3, 1, max_len=4),
-     PRECONDITION_FAILED, (21, 39), "3e8c5886e60cd2dd"),
+    pytest.param("msort", lambda: msort_corpus(3, 0), PASS, (68, 9),
+                 "735850d1bccc5612", id="msort"),
+    pytest.param("msort-nosort", lambda: msort_corpus(3, 1),
+                 PRECONDITION_FAILED, (41, 60), "4bbff2b84e88fc76",
+                 id="msort-nosort"),
+    pytest.param("mglist", lambda: mglist_corpus(3, 0, max_len=4), PASS,
+                 (12, 3), "ccb5c593a9c40fc3", id="mglist"),
+    pytest.param("mglist-len", lambda: mglist_corpus(3, 1, max_len=4),
+                 PRECONDITION_FAILED, (21, 39), "3e8c5886e60cd2dd",
+                 id="mglist-len"),
 ])
 def test_crosscheck_reports_on_bundled_specs_are_pinned(
         spec_name, corpus, status, stats, digest):
@@ -449,8 +452,11 @@ def test_report_prints_each_node_once():
     printed = []
 
     def pretty(node, texts=None):
-        # `texts` holds exactly the terms printed before, for reuse.
-        assert list(texts) == printed
+        # `texts` holds the terms printed before, in order, for reuse, and
+        # the statements the printer entered there, each with its text.
+        assert [k for k in texts if not isinstance(k, Stmt)] == printed
+        assert all(texts[k] == print_stmt(k) for k in texts
+                   if isinstance(k, Stmt))
         printed.append(node)
         return WHILE.pretty(node, texts)
 
@@ -514,7 +520,41 @@ def test_pretty_with_printed_subterms_is_pretty(lang, seed, rng):
                      if rng.random() < 0.5}
             before = dict(texts)
             assert plugin.pretty(term, texts) == plugin.pretty(term)
-            assert texts == before
+            # Entries stay; an entry the printer adds is a subterm's text.
+            assert texts.items() >= before.items()
+            subterms = _subterms(term)
+            assert all(k in subterms and v == plugin.pretty(k)
+                       for k, v in texts.items())
+
+
+def _statement_prints(monkeypatch, x):
+    """The `print_stmt` calls `to_dict` makes for a counterexample whose
+    trace is `x` loop iterations deep, and whether the document is the
+    one a printer that reuses nothing gives."""
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return print_stmt(s)
+
+    reject = Specification((None,), lambda param, gamma: Constrained(
+        lambda r: False, lambda b: [], "no result"))
+    g = WhileConfig(COUNTDOWN, WhileState.of({"x": x}))
+    report = check_valid(WHILE, reject, [g], SampleBudget(2 * x + 10, 1, 0))
+    assert report.status == FAIL
+    monkeypatch.setattr(imp_syntax, "print_stmt", counted)
+    doc = report.to_dict(WHILE)
+    monkeypatch.undo()
+    plain = report.to_dict(replace(
+        WHILE, pretty=lambda value, texts=None: WHILE.pretty(value)))
+    return len(calls), doc == plain
+
+
+def test_report_prints_each_statement_once(monkeypatch):
+    # The loop's configurations hold three statements; each is printed
+    # once per report, however long the trace.
+    assert _statement_prints(monkeypatch, 1_000) == (
+        _statement_prints(monkeypatch, 4_000)[0], True)
 
 
 def test_check_reports_are_deterministic():
