@@ -16,14 +16,16 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .syntax import Node, hash_once
+from .syntax import Node, hash_once, slot_init
 
 # Derivations, and the traces that record them, are walked on an explicit
-# stack, so their height is bounded by the depth budget alone.  Terms are
-# still walked recursively on their nesting depth (the parsers, lang_fun's
-# occurrence sets, canonical-form check and substitution, printers), and a long
-# literal list such as a 20,000-element `fun` list needs more headroom than
-# the default stack limit.
+# stack, so their height is bounded by the depth budget alone.  Hashing a
+# term walks nothing (a node is hashed when it is built), and comparison and
+# `repr` leave the recursive code past a fixed depth (see `syntax.Node`).
+# Terms are still walked recursively on their nesting depth by the parsers,
+# lang_fun's occurrence sets, canonical-form check and substitution, and the
+# printers, and a long literal list such as a 20,000-element `fun` list
+# needs more headroom than the default stack limit.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 Config = Any
@@ -34,14 +36,18 @@ ResultConfig = Any
 # Rule applications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# Built once per rule instance: slotted, with a constructor that sets the
+# slots directly.
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Conclude:
     """A rule instance with no remaining premises; carries the conclusion."""
 
     result: ResultConfig
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Need:
     """A rule instance waiting on one premise.
 

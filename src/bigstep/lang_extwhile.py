@@ -270,11 +270,14 @@ def ext_rules(gamma: ExtConfig) -> list:
 # Concrete syntax
 # ---------------------------------------------------------------------------
 
-# The symbols and keywords of ExtWhile's `Tokens`.
+# The symbols and keywords of ExtWhile's `Tokens`.  `nextloc` is a
+# keyword, so no name in a program clashes with a printed state's
+# `nextloc=` field.
 LEXICON = ([":=", ";", "(", ")", "[", "]", "{", "}", "+", "-", "*", "/",
             "<=", "<", "=", ",", "@"],
            {"skip", "if", "then", "else", "while", "do", "true", "false",
-            "and", "not", "var", "array", "call", "fun", "returns"})
+            "and", "not", "var", "array", "call", "fun", "returns",
+            "nextloc"})
 
 
 def _toks(src: str) -> Tokens:
@@ -342,15 +345,17 @@ def parse_state(src: str) -> ExtState:
                 t.eat("]")
                 t.eat("=")
                 put(location, t.integer())
+            elif t.accept("nextloc"):
+                if explicit_nextloc is not None:
+                    raise ParseError("nextloc is given twice")
+                t.eat("=")
+                explicit_nextloc = t.integer()
             else:
                 n = t.ident()
-                if n in names \
-                        or n == "nextloc" and explicit_nextloc is not None:
+                if n in names:
                     raise ParseError("%s is given twice" % n)
                 t.eat("=")
-                if n == "nextloc":
-                    explicit_nextloc = t.integer()
-                elif t.accept("["):
+                if t.accept("["):
                     contents = t.items(Tokens.integer, "]")
                     t.eat("]")
                     start = t.integer() if t.accept("@") else 0

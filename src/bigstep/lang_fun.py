@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import Node, ParseError, Tokens, hash_once, set_hash
+from .syntax import Node, ParseError, Tokens, hash_once
 
 
 # ---------------------------------------------------------------------------
@@ -34,12 +34,7 @@ class FNode(Node):
     """A `Node` that also caches its occurrence set (see `occurrences`) and
     whether it is a canonical form (see `is_canonical`)."""
 
-    __slots__ = ("_occ", "_canon")
-
-    def __post_init__(self):
-        set_hash(self, None)
-        _set_occ(self, None)
-        _set_canon(self, None)
+    __slots__ = ("_occ", "_canon")  # None until computed
 
 
 _set_occ = FNode._occ.__set__

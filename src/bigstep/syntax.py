@@ -6,60 +6,46 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 
-# Past this nesting depth, a node's first hash and its comparison with a
-# distinct node run from an explicit stack, and its repr is cut short, not
-# run through the dataclass code, whose calls recurse through C frames that
-# no recursion limit guards.  A level takes two Python frames: well under
-# the default limit of 1,000.
+# Past this nesting depth, a node's comparison with a distinct node runs
+# from an explicit stack, and its repr is cut short, not run through the
+# field code that `slot_init` generates, whose calls recurse through C
+# frames that no recursion limit guards.  A level takes two Python frames:
+# well under the default limit of 1,000.
 _MAX_NESTING = 200
-_nesting = 0  # open Node.__hash__/__eq__/__repr__ calls, for one thread
+_nesting = 0  # open Node.__eq__/__repr__ calls, for one thread
 
 
 class Node:
-    """Base of the `hash_once` classes; holds the cached hash.
+    """Base of the `hash_once` classes; holds the hash.
 
     The kernel keys its sets and dicts on configurations, and a plain
     frozen dataclass re-walks the whole term, state and program on every
-    `hash`.  A node instead hashes its fields once, on first use, and keeps
+    `hash`.  A node's constructor instead hashes its field tuple and keeps
     the value in the `_hash` slot (cf. Filliatre and Conchon, "Type-safe
-    modular hash-consing", ML Workshop 2006).  The value is the one the
-    plain dataclass computes, so hash-ordered containers behave as before.
-    Equality is the dataclass's, short-circuited on identity and on cached
-    hashes that differ.  Both are safe on terms of any nesting depth, and
+    modular hash-consing", ML Workshop 2006).  A node's children are built,
+    and hashed, before it, so this costs one step per field and walks
+    nothing, at any depth.  The value is the one the plain dataclass
+    computes, so hash-ordered containers behave as before.  Equality
+    compares fields as the dataclass does, short-circuited on identity and
+    on hashes that differ.  It is safe on terms of any nesting depth, and
     so is `repr`, which prints a node nested past `_MAX_NESTING` as
     `Class(...)`.
     """
 
     __slots__ = ("_hash",)
 
-    def __post_init__(self):
-        # Set the slot so the first hash needs no AttributeError fallback.
-        set_hash(self, None)
-
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            global _nesting
-            if _nesting >= _MAX_NESTING:
-                return _hash_children_first(self)
-            _nesting += 1
-            try:
-                h = self._field_hash()
-            finally:
-                _nesting -= 1
-            set_hash(self, h)
-        return h
+        return self._hash
 
     def __eq__(self, other):
         if self is other:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        h, g = self._hash, other._hash
-        if h is not None and g is not None and h != g:
+        if self._hash != other._hash:
             return False
         global _nesting
         if _nesting >= _MAX_NESTING:
@@ -81,48 +67,70 @@ class Node:
             _nesting -= 1
 
     def __setstate__(self, state):
-        # Copies and unpickled nodes start with empty caches: a hash built
-        # from `str` hashes is stale under another PYTHONHASHSEED.
-        for f, value in zip(fields(self), state):
-            object.__setattr__(self, f.name, value)
-        self.__post_init__()
+        # Copies and unpickled nodes are rebuilt by the constructor: a hash
+        # built from `str` hashes is stale under another PYTHONHASHSEED.
+        self.__init__(*state)
 
 
-# Frozen dataclasses forbid plain assignment.  Setting a slot through its
-# descriptor is several times cheaper than `object.__setattr__`, and nodes
-# are built by the hundred thousand.
-set_hash = Node._hash.__set__
+def slot_init(cls, node: bool = False):
+    """Give `cls`, a slotted dataclass built with `init=False`, the
+    dataclass's constructor, except that it sets each field through its
+    slot descriptor: frozen dataclasses forbid plain assignment, this is
+    cheaper than the dataclass's `object.__setattr__` calls, and nodes are
+    built by the hundred thousand.
 
-
-def hash_once(cls):
-    """Make `cls`, a `Node` subclass, a slotted frozen dataclass whose hash
-    is computed at most once.  `__match_args__` is the dataclass's own."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls._field_hash, cls._field_eq = cls.__hash__, cls.__eq__
-    cls._field_repr = cls.__repr__
-    cls.__hash__, cls.__eq__ = Node.__hash__, Node.__eq__
-    cls.__repr__ = Node.__repr__
-    cls.__setstate__ = Node.__setstate__
+    For a `Node` class (`node`), the constructor then sets every slot the
+    class inherits (a cache) to None, except `_hash`, which gets the hash
+    of the field tuple.  The same code defines `_field_eq` and
+    `_field_repr`, the dataclass's field comparison and repr, which `Node`
+    calls."""
+    names = [f.name for f in fields(cls)]
+    env = {"_set_" + n: getattr(cls, n).__set__ for n in names}
+    params = ["self"]
+    for f in fields(cls):
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env["_default_" + f.name] = f.default
+            params.append("%s=_default_%s" % (f.name, f.name))
+    body = ["_set_%s(self, %s)" % (n, n) for n in names]
+    methods, more = ["__init__"], ""
+    if node:
+        inherited = [s for base in cls.__mro__[1:]
+                     for s in base.__dict__.get("__slots__", ())]
+        env.update(("_set_" + s, getattr(cls, s).__set__) for s in inherited)
+        body += ["_set_%s(self, None)" % s for s in inherited if s != "_hash"]
+        body.append("_set__hash(self, hash((%s)))"
+                    % "".join(n + ", " for n in names))
+        methods += ["_field_eq", "_field_repr"]
+        more = (
+            "def _field_eq(self, other):\n"
+            "    return (%s) == (%s)\n"
+            "def _field_repr(self):\n"
+            "    return f\"{self.__class__.__qualname__}(%s)\"\n" % (
+                "".join("self.%s, " % n for n in names),
+                "".join("other.%s, " % n for n in names),
+                ", ".join("%s={self.%s!r}" % (n, n) for n in names)))
+    exec("def __init__(%s):\n    %s\n%s" % (
+        ", ".join(params), "\n    ".join(body) or "pass", more), env)
+    for name in methods:
+        env[name].__qualname__ = "%s.%s" % (cls.__qualname__, name)
+        setattr(cls, name, env[name])
     return cls
 
 
-def _hash_children_first(root) -> int:
-    """Hash `root` and every unhashed node under it, each after its
-    children, from an explicit stack; tuples, which cache no hash, are
-    walked into.  A node popped unhashed is hashed before any entry below
-    its own is popped, so a shared node is expanded once (terms have no
-    cycles)."""
-    stack = [(root, False)]
-    while stack:
-        x, children_done = stack.pop()
-        if children_done:
-            set_hash(x, x._field_hash())
-        elif isinstance(x, tuple):
-            stack.extend((y, False) for y in x)
-        elif isinstance(x, Node) and x._hash is None:
-            stack.append((x, True))
-            stack.extend((getattr(x, f), False) for f in x.__match_args__)
-    return root._hash
+def hash_once(cls):
+    """Make `cls`, a `Node` subclass, a slotted frozen dataclass whose
+    constructor stores its hash.  `__match_args__`, `fields`, `replace`
+    and the frozen error are the dataclass's own."""
+    # Without a docstring, the dataclass would make one from the signature
+    # of `object.__init__`, a slow way to say nothing.
+    cls.__doc__ = cls.__doc__ or "%s(%s)" % (
+        cls.__name__, ", ".join(cls.__dict__.get("__annotations__", ())))
+    cls = dataclass(frozen=True, slots=True, init=False, repr=False,
+                    eq=False)(cls)
+    cls.__setstate__ = Node.__setstate__  # not the dataclass's
+    return slot_init(cls, node=True)
 
 
 def _equal_on_stack(a, b) -> bool:

@@ -129,6 +129,37 @@ def test_array_named_nextloc_exits_two(capsys):
     assert "expected integer" in err
 
 
+@pytest.mark.parametrize("config", [
+    "var nextloc ; nextloc := 3",  # it printed `nextloc=3, nextloc=0`
+    "x := nextloc",
+    "array nextloc[2]",
+    "nextloc[0] := 1",
+    "fun f(nextloc) returns (r) { r := 1 } || var y ; call f(1; y) ||",
+    "fun f(a) returns (nextloc) { skip } || var y ; call f(1; y) ||",
+    "fun f(a) returns (r) { r := a } || call f(1; nextloc) ||",
+], ids=["variable", "read", "array", "cell", "parameter", "return",
+        "receiver"])
+def test_program_naming_nextloc_exits_two(capsys, config):
+    # A printed ExtWhile state ends in `nextloc=`; a program variable of
+    # that name would print a state that does not parse back.
+    code, out, err = run_cli(capsys, "run", "--lang", "extwhile",
+                             "--config", config)
+    assert code == 2 and out == ""
+    assert "found 'nextloc'" in err
+
+
+def test_nextloc_is_a_variable_name_in_while_and_a_state_field_in_extwhile(
+        capsys):
+    assert run_cli(capsys, "run", "--lang", "while", "--config",
+                   "nextloc := 3") == (0, "nextloc=3\n", "")
+    assert run_cli(capsys, "run", "--lang", "extwhile", "--config",
+                   "var x ; x := 3 || nextloc=4") == \
+        (0, "x=3, nextloc=4\n", "")
+    code, out, err = run_cli(capsys, "run", "--lang", "extwhile", "--config",
+                             "skip || nextloc=1, nextloc=2")
+    assert code == 2 and "nextloc is given twice" in err
+
+
 def test_incompatible_spec_language_exits_two(capsys):
     code, _, err = run_cli(capsys, "check-verif", "--lang", "fun",
                            "--spec", "fac")

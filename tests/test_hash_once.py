@@ -1,24 +1,26 @@
 """Hash-once nodes: copies and pickles of terms, states and configurations
 of every language stay equal, hashable and usable as dict keys, even when
 unpickled under another hash seed; state writes match a full rebuild; a
-node hashes as its field tuple and prints as the dataclass repr; terms and
-inference traces of any depth hash, compare and print."""
+node hashes as its field tuple, once, when it is built, by whichever path,
+and prints as the dataclass repr; terms and inference traces of any depth
+hash, compare and print."""
 
 import copy
 import os
 import pickle
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import bigstep
-from bigstep import lang_extwhile, lang_fun, lang_while
+from bigstep import (SampleBudget, imp_syntax, infer_results, kernel,
+                     lang_extwhile, lang_fun, lang_while, trivial_spec)
 from bigstep.imp_syntax import ANum, Call, Seq, Skip
-from bigstep.lang_extwhile import ExtState
+from bigstep.lang_extwhile import ExtProgram, ExtState
 from bigstep.lang_while import WhileState
 from bigstep.random_programs import random_corpus
 from bigstep.syntax import Node
@@ -200,23 +202,26 @@ class _Hashed:
 
 
 def test_shared_deep_term_hashes_each_distinct_node_once(monkeypatch):
-    # 300 distinct nodes, 2**300 paths: a walk that follows every path to
-    # a shared subterm never ends.
-    field_hash = lang_fun.FBin._field_hash
-    calls = []
+    # 300 distinct nodes, 2**300 paths: a hash that follows every path to a
+    # shared subterm never ends.  The constructor looks `hash` up in its
+    # own globals first, so this counts the field-tuple hashes it computes.
+    field_tuples = []
 
-    def counted(node):
-        calls.append(node)
-        return field_hash(node)
+    def counted(fields):
+        field_tuples.append(fields)
+        return hash(fields)
 
-    monkeypatch.setattr(lang_fun.FBin, "_field_hash", counted)
+    monkeypatch.setitem(lang_fun.FBin.__init__.__globals__, "hash", counted)
     t = lang_fun.FNum(1)
     expected = hash(t)
     for _ in range(300):
         t = lang_fun.FBin("+", t, t)
         expected = hash(("+", _Hashed(expected), _Hashed(expected)))
-    assert hash(t) == expected
-    assert len(calls) == 300 and len({id(n) for n in calls}) == 300
+    assert len(field_tuples) == 300
+    assert len({id(left) for _, left, _ in field_tuples}) == 300
+    field_tuples.clear()
+    assert hash(t) == expected and hash(t) == hash(("+", t.left, t.right))
+    assert field_tuples == []
 
 
 def _fun_list(n, last):
@@ -238,8 +243,11 @@ def _call(*args):
     return Call("f", tuple(ANum(a) for a in args), ("x",))
 
 
-# Pairs 500 deep, past the depth where comparison leaves the dataclass code
-# for an explicit stack; the bottom differs in value, class or length.
+# Pairs 500 deep, past the depth where comparison leaves the recursive
+# field comparison for an explicit stack; the bottom differs in value,
+# class or length.  The hashes of -1 and -2 are equal, so the pairs built
+# on them have equal hashes at every level, and only the walk to the
+# bottom tells them apart.
 _DEEP_PAIRS = [
     (_fun_list(500, lang_fun.FNum(1)), _fun_list(500, lang_fun.FNum(1)), True),
     (_fun_list(500, lang_fun.FNum(1)), _fun_list(500, lang_fun.FNum(2)),
@@ -251,17 +259,46 @@ _DEEP_PAIRS = [
     (_skips_then(500, _call(1)), _skips_then(500, _call(1)), True),
     (_skips_then(500, _call(1)), _skips_then(500, _call(2)), False),
     (_skips_then(500, _call(1)), _skips_then(500, _call(1, 1)), False),
+    (_fun_list(500, lang_fun.FNum(-1)), _fun_list(500, lang_fun.FNum(-2)),
+     False),
+    (_skips_then(500, _call(-1)), _skips_then(500, _call(-2)), False),
 ]
 
 
-@pytest.mark.parametrize("hashed", [False, True])
+def _share_leaves(x, leaves: dict):
+    """`x` rebuilt with each node that has no node below it replaced by the
+    first equal one entered in `leaves`."""
+    if isinstance(x, tuple):
+        return tuple(_share_leaves(y, leaves) for y in x)
+    if not isinstance(x, Node):
+        return x
+    values = [getattr(x, f.name) for f in fields(x)]
+    if not any(isinstance(v, (Node, tuple)) for v in values):
+        return leaves.setdefault(x, x)
+    return x.__class__(*(_share_leaves(v, leaves) for v in values))
+
+
+@pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("a,b,equal", _DEEP_PAIRS)
-def test_deep_comparison_agrees_with_the_shallow_one(a, b, equal, hashed):
-    a, b = copy.deepcopy(a), copy.deepcopy(b)  # fresh, unhashed nodes
-    if hashed:
-        hash(a), hash(b)
+def test_deep_comparison_agrees_with_the_shallow_one(a, b, equal, shared):
+    # Unshared, every node of one operand is distinct from every node of
+    # the other; shared, equal leaves are one object in both.
+    if shared:
+        leaves = {}
+        a, b = _share_leaves(a, leaves), _share_leaves(b, leaves)
+        assert len(leaves) < len(_nodes(a))
+    else:
+        a, b = copy.deepcopy(a), copy.deepcopy(b)
     assert (a == b) is equal and (a != b) is not equal
     assert (b == a) is equal
+
+
+def test_pairs_built_on_minus_one_and_minus_two_hash_alike():
+    # Otherwise their hashes alone would tell those pairs apart.
+    assert hash(_fun_list(500, lang_fun.FNum(-1))) == \
+        hash(_fun_list(500, lang_fun.FNum(-2)))
+    assert hash(_skips_then(500, _call(-1))) == \
+        hash(_skips_then(500, _call(-2)))
 
 
 def _nodes(root):
@@ -275,6 +312,95 @@ def _nodes(root):
             out.append(x)
             stack.extend(getattr(x, f.name) for f in fields(x))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Construction: every path builds the same node, with its hash
+# ---------------------------------------------------------------------------
+
+NODE_CLASSES = sorted(
+    {cls for mod in (imp_syntax, lang_while, lang_extwhile, lang_fun, kernel)
+     for cls in vars(mod).values()
+     if isinstance(cls, type) and issubclass(cls, Node) and is_dataclass(cls)},
+    key=lambda cls: cls.__qualname__)
+
+
+def _sample_nodes() -> dict:
+    """A node of every class in NODE_CLASSES, by class."""
+    loop = lang_while.parse_config("x := 2 ; while 0 < x do x := x - 1")
+    (trace,) = infer_results(bigstep.PLUGINS["while"], trivial_spec(), None,
+                             loop, SampleBudget())[0].values()
+    roots = [
+        lang_while.parse_config(WHILE_CONFIG),
+        lang_extwhile.parse_config(
+            "fun inc(a) returns (r) { r := a + 1 }"
+            " || var x ; array A[2] ; A[x] := 3 ; x := A[0] / 2 ;"
+            " if true and not x < 1 then skip else call inc(x; x) ;"
+            " while x < 0 do skip || B=[1]"),
+        lang_fun.parse_expr(FUN_CONFIG),
+        lang_fun.parse_expr("if not true and false then 1 else 2"),
+        trace,
+    ]
+    samples = {}
+    for root in roots:
+        for node in _nodes(root):
+            samples.setdefault(node.__class__, node)
+    return samples
+
+
+SAMPLE_NODES = _sample_nodes()
+
+
+def test_every_node_class_has_a_sample():
+    assert sorted(SAMPLE_NODES, key=lambda cls: cls.__qualname__) == \
+        NODE_CLASSES
+
+
+def _builds_alike(cls, node, values):
+    """`cls` built from `values` by position, by keyword and through
+    `replace` is `node` again, hashed as its field tuple; no field can be
+    assigned."""
+    kwargs = {f.name: v for f, v in zip(fields(cls), values)}
+    for built in (cls(*values), cls(**kwargs), replace(node),
+                  replace(node, **kwargs)):
+        assert built.__class__ is cls and built == node
+        assert hash(built) == hash(tuple(values))
+        assert repr(built) == repr(node)
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    for name in kwargs:
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, kwargs[name])
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES,
+                         ids=[cls.__qualname__ for cls in NODE_CLASSES])
+def test_node_builds_alike_by_every_path(cls):
+    node = SAMPLE_NODES[cls]
+    values = [getattr(node, f.name) for f in fields(cls)]
+    _builds_alike(cls, node, values)
+    if isinstance(node, lang_fun.FNode):
+        # Caches start empty, whichever path built the node.
+        lang_fun.occurrences(node), lang_fun.is_canonical(node)
+        for built in (cls(*values), replace(node)):
+            assert built._occ is None and built._canon is None
+
+
+@pytest.mark.parametrize("cls", [WhileState, ExtState, ExtProgram])
+def test_node_built_from_its_defaults(cls):
+    defaults = [f.default for f in fields(cls)]
+    assert cls() == cls(*defaults) and cls().__class__ is cls
+    assert hash(cls()) == hash(tuple(defaults))
+    _builds_alike(cls, cls(), defaults)
+
+
+def test_rule_instances_build_alike_by_every_path():
+    config = lang_while.parse_config("x := 1 || y=2")
+    state = config.state
+    for cls, values in ((kernel.Conclude, [state]),
+                        (kernel.Need, [config, kernel.Conclude])):
+        assert "__slots__" in vars(cls)
+        _builds_alike(cls, cls(*values), values)
 
 
 @settings(max_examples=60, deadline=None)
