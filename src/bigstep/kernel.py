@@ -72,15 +72,19 @@ class LanguagePlugin:
     is `gamma`, in a fixed order; an empty list means `gamma` is stuck.  It
     must be a pure function of `gamma`, and each continuation `Need.rest` a
     pure function of the premise's result: derivations are memoized by
-    configuration.  A continuation may be any callable, `Conclude` itself
-    included.
+    configuration.  A continuation may be any callable.  `Conclude` itself
+    marks a tail premise: the instance's results are that premise's, and
+    the walker gives it no frame of its own, so a loop holds no frame per
+    iteration.  A plugin that wraps its continuations derives the same
+    results without that saving.
     `pretty(value, texts=None)` prints a configuration or result; `texts`
     maps terms already printed in the same report to their text, and the
     printer may use the entry of any subterm instead of printing it again,
     with the same output.  It may also enter a subterm it printed, with the
     text `pretty` gives that subterm; it changes no entry.
-    Plugins compare and hash by identity: the derivation memo is keyed by
-    the plugin object, so two plugins sharing a name never share results.
+    Plugins compare and hash by identity: the shared derivation memo is
+    keyed by the plugin object, so two plugins sharing a name never share
+    results.
     """
 
     name: str
@@ -171,9 +175,10 @@ def seeded_rng(seed: int, *key: object) -> random.Random:
 # configurations up again (`check_valid`, the crosscheck and the `star`
 # spec, through `_derive_shared`); its entries live as long as the process.
 # Every other walk (`derive_all`, so `run` and `derive`, and the harvest)
-# memoizes on a table of its own, dropped when the walk returns.
-# Either table maps (plugin, config) -> (results, False, height), one entry
-# per configuration, stored only for a derivation that no depth cut.  Such a
+# memoizes on a table of its own, dropped when the walk returns.  This
+# table maps (plugin, config), and a walk's own table, which serves one
+# plugin, config alone, to (results, False, height): one entry per
+# configuration, stored only for a derivation that no depth cut.  Such a
 # derivation gives the same results, in the same order, at every budget from
 # its height up, so its entry answers all of them.  A lookup below the
 # height derives again and keeps the entry.  A cut answer is kept only by
@@ -186,14 +191,16 @@ _OPEN = object()  # no value yet: the configuration needs a frame
 def _gc_paused(walk):
     """`walk` with the cyclic garbage collector paused while it runs.
 
-    A walk keeps every memo entry and every suspended frame alive until it
-    returns, so each full collection during a long derivation re-traverses
-    a heap that only grows, and the walk's time grows faster than its
-    length.  The pause defers no garbage: walks create no reference cycles
-    (reference counting frees what they drop, the walk's own memo table
-    included, when it returns), and cycles a plugin creates are collected
-    once the walk returns.  A caller, or an outer walk, that already turned
-    the collector off keeps it off.
+    A walk keeps every memo entry alive until it returns, and every
+    suspended frame until it is answered.  A frame that only waits on its
+    tail premise is not suspended, but its height, flag and memo key wait
+    on the premise's frame.  So each full collection during a long
+    derivation re-traverses a heap that only grows, and the walk's time
+    grows faster than its length.  The pause defers no garbage: walks
+    create no reference cycles (reference counting frees what they drop,
+    the walk's own memo table included, when it returns), and cycles a
+    plugin creates are collected once the walk returns.  A caller, or an
+    outer walk, that already turned the collector off keeps it off.
     """
 
     def paused(*args, **kwargs):
@@ -224,11 +231,12 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
     - "all": a tuple of every result.  `memo` keeps each derivation no
       depth cut, keyed by (plugin, configuration), and answers a lookup
       from an entry whose height is within the budget; without one, the
-      walk memoizes on a table of its own, dropped when it returns.  The
-      walk keeps its cut answers in `cut`, keyed by (memo key, depth),
-      until it returns.  `visit`, when given, is called on every
-      configuration opened, in order; a memo hit opens nothing, and within
-      one walk its configurations were visited when the entry was made.
+      walk memoizes on a table of its own, keyed by the configuration
+      alone, and dropped when it returns.  The walk keeps its cut answers
+      in `cut`, keyed by (memo key, depth), until it returns.  `visit`,
+      when given, is called on every configuration opened, in order; a
+      memo hit opens nothing, and within one walk its configurations were
+      visited when the entry was made.
     - "first": the "all" walk without a memo, each frame stopping at its
       first result, so a tuple of at most one.  Depth 0 is cut without
       enumerating rules.
@@ -236,15 +244,25 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
       pairs that `candidates(premise)` lists or, when that is None, every
       result inferred for it below.
 
+    Under "all" and "first", a tail premise takes no frame: when a frame's
+    only work left is a premise whose continuation is `Conclude` itself,
+    and that premise needs a frame, the frame's results are the premise's.
+    The frame is not suspended; it is answered when the premise is, from
+    its exhausted flag and height so far, so a loop of n iterations holds
+    no frame per iteration.  (Under "spec" each level wraps the premise's
+    traces in its own.)
+
     Work is done in exactly the order of a recursive walk that tries rule
     instances in order, derives a premise fully before feeding its results
     one at a time to `rest`, and finishes each continuation before the
     next result, so results, traces and every plugin and candidate call
-    come in the same order.
+    come in the same order; the one call a tail premise skips is its
+    `Conclude`.
     """
     rules = plugin.rules
     first, infer = policy == "first", policy == "spec"
-    if policy == "all" and memo is None:
+    own = policy == "all" and memo is None
+    if own:
         memo = {}
     # The frame being worked on lives in locals: `top` is its (gamma,
     # depth, memo key); its rule instances `apps` start in order, `nxt`
@@ -258,9 +276,12 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
     # so far, and its depth once a premise is cut.  `out` maps each result
     # to its InferTrace (spec) or None, in first-found order.  `waiting` is
     # the (need, steps, rule index) of the premise being derived below.
-    # Suspended frames are saved on `stack`.
+    # `fwd` lists the frames whose tail premise this frame is, outermost
+    # first, as (height, exhausted, memo key, depth): without a memo, the
+    # key is None.  Suspended frames are saved on `stack`.
     stack: list = []
     top = None
+    fwd: Any = ()
     cut: dict = {}
     while True:
         # Open `gamma` at `depth`: its value is known at once, or it gets a
@@ -271,7 +292,7 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
             value = ((), True, 0)
         else:
             if memo is not None:
-                key = (plugin, gamma)
+                key = gamma if own else (plugin, gamma)
                 hit = memo.get(key)
                 if hit is not None and hit[2] <= depth:
                     value = hit
@@ -295,11 +316,19 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
                         memo[key] = value
         if value is _OPEN:
             if top is not None:
-                # Once all its rule instances have started, a suspended frame
-                # drops them: they hold closures, and a long loop suspends a
-                # frame per iteration.
-                stack.append((top, apps if nxt < len(apps) else (), nxt,
-                              agenda, out, exhausted, height, waiting))
+                if (not infer and waiting[0].rest is Conclude and not out
+                        and not agenda and nxt >= len(apps)):
+                    # A tail premise: the frame only waits for its answer.
+                    if not fwd:
+                        fwd = []
+                    fwd.append((height, exhausted, top[2], top[1]))
+                else:
+                    # Once all its rule instances have started, a suspended
+                    # frame drops them: they hold closures.
+                    stack.append((top, apps if nxt < len(apps) else (), nxt,
+                                  agenda, out, exhausted, height, waiting,
+                                  fwd))
+                    fwd = ()
             top, apps, nxt, agenda = (gamma, depth, key), opened, 0, []
             out, exhausted = {}, False
             height = 1 if opened else 0
@@ -361,9 +390,21 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
                     cut[top[2], top[1]] = value
                 else:
                     memo[top[2]] = value
+            # Answer the frames this one is the tail premise of, innermost
+            # first: the same results, under their own flag and height.
+            results, ex, h = value
+            for entry in reversed(fwd):
+                h = max(entry[0], h + 1)
+                ex = entry[1] or ex
+                value = (results, ex, h)
+                if memo is not None:
+                    if ex:
+                        cut[entry[2], entry[3]] = value
+                    else:
+                        memo[entry[2]] = value
             if stack:
-                (top, apps, nxt, agenda, out, exhausted, height,
-                 waiting) = stack.pop()
+                (top, apps, nxt, agenda, out, exhausted, height, waiting,
+                 fwd) = stack.pop()
             else:
                 top = None
 

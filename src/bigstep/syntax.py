@@ -16,6 +16,10 @@ from dataclasses import MISSING, dataclass, fields
 # well under the default limit of 1,000.
 _MAX_NESTING = 200
 _nesting = 0  # open Node.__eq__/__repr__ calls, for one thread
+# While an outermost Node.__eq__ runs: the node pairs found equal so far,
+# as {(id, id): (node, node)}, so a subterm shared within both sides is
+# compared once.  None when no comparison is open.
+_equal = None
 
 
 class Node:
@@ -29,9 +33,12 @@ class Node:
     and hashed, before it, so this costs one step per field and walks
     nothing, at any depth.  The value is the one the plain dataclass
     computes, so hash-ordered containers behave as before.  Equality
-    compares fields as the dataclass does, short-circuited on identity and
-    on hashes that differ.  It is safe on terms of any nesting depth, and
-    so is `repr`, which prints a node nested past `_MAX_NESTING` as
+    compares fields as the dataclass does, short-circuited on identity, on
+    hashes that differ and, within one outermost comparison, on a pair of
+    nodes already found equal: two separately built terms that share
+    subterms compare in time linear in their distinct subterms, not their
+    tree size.  It is safe on terms of any nesting depth, and so is
+    `repr`, which prints a node nested past `_MAX_NESTING` as
     `Class(...)`.
     """
 
@@ -47,14 +54,25 @@ class Node:
             return NotImplemented
         if self._hash != other._hash:
             return False
-        global _nesting
-        if _nesting >= _MAX_NESTING:
-            return _equal_on_stack(self, other)
+        global _nesting, _equal
+        outer = _equal is None
+        if outer:
+            _equal = {}
+        elif (id(self), id(other)) in _equal:
+            return True
         _nesting += 1
         try:
-            return self._field_eq(other)
+            if _nesting > _MAX_NESTING:
+                return _equal_on_stack(self, other, _equal)
+            same = self._field_eq(other)
+            if same and not outer:
+                # The value keeps both alive, so their ids stay theirs.
+                _equal[id(self), id(other)] = (self, other)
+            return same
         finally:
             _nesting -= 1
+            if outer:
+                _equal = None
 
     def __repr__(self):
         global _nesting
@@ -133,16 +151,28 @@ def hash_once(cls):
     return slot_init(cls, node=True)
 
 
-def _equal_on_stack(a, b) -> bool:
-    """The dataclass comparison of two nodes, from an explicit stack."""
+_FIELDS_EQUAL = object()  # stack mark: popped, its pair's fields were equal
+
+
+def _equal_on_stack(a, b, equal) -> bool:
+    """The dataclass comparison of two nodes, from an explicit stack.
+
+    `equal` holds the node pairs found equal, as `Node.__eq__` keeps them:
+    a pair in it is not compared again, and a pair is added once all its
+    fields compare equal."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
         if x is y:
             continue
-        if isinstance(x, Node):
-            if y.__class__ is not x.__class__:
+        if x is _FIELDS_EQUAL:
+            equal[id(y[0]), id(y[1])] = y
+        elif isinstance(x, Node):
+            if y.__class__ is not x.__class__ or y._hash != x._hash:
                 return False
+            if (id(x), id(y)) in equal:
+                continue
+            stack.append((_FIELDS_EQUAL, (x, y)))
             stack.extend((getattr(x, f), getattr(y, f))
                          for f in x.__match_args__)
         elif isinstance(x, tuple) and isinstance(y, tuple):

@@ -177,10 +177,13 @@ def ref_infer(plugin, spec, param, gamma, budget, depth):
 # ---------------------------------------------------------------------------
 
 def logged(plugin, log):
-    """A fresh plugin object (so a fresh memo) that logs rules and rest."""
+    """A fresh plugin object (so a fresh memo) that logs rules and rest.
+
+    A continuation that is `Conclude` itself stays unwrapped and unlogged,
+    so the engine still takes its tail premises without a frame."""
 
     def wrap(app):
-        if isinstance(app, Conclude):
+        if isinstance(app, Conclude) or app.rest is Conclude:
             return app
         rest = app.rest
 

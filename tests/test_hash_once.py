@@ -18,7 +18,8 @@ from hypothesis import given, settings
 
 import bigstep
 from bigstep import (SampleBudget, imp_syntax, infer_results, kernel,
-                     lang_extwhile, lang_fun, lang_while, trivial_spec)
+                     lang_extwhile, lang_fun, lang_while, syntax,
+                     trivial_spec)
 from bigstep.imp_syntax import ANum, Call, Seq, Skip
 from bigstep.lang_extwhile import ExtProgram, ExtState
 from bigstep.lang_while import WhileState
@@ -299,6 +300,109 @@ def test_pairs_built_on_minus_one_and_minus_two_hash_alike():
         hash(_fun_list(500, lang_fun.FNum(-2)))
     assert hash(_skips_then(500, _call(-1))) == \
         hash(_skips_then(500, _call(-2)))
+
+
+# Towers `t = FBin("+", t, t)`: one node per level, 2**levels leaves.  Two
+# towers built apart share no node with each other, so a comparison that
+# did not remember the pairs it found equal would compare each pair once
+# per path to it, doubling per level.
+
+class _CountedOp(str):
+    """An `FBin` operator that counts its comparisons, one per node pair
+    compared, on the recursive path and on the explicit stack alike."""
+
+    calls = 0
+    limit = 0
+
+    def _count(self):
+        _CountedOp.calls += 1
+        assert _CountedOp.calls <= _CountedOp.limit, \
+            "shared pair compared again"
+
+    def __eq__(self, other):
+        self._count()
+        return str.__eq__(self, other)
+
+    def __ne__(self, other):
+        self._count()
+        return str.__ne__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def _tower(levels, bottom, op=str):
+    t = lang_fun.FNum(bottom)
+    for _ in range(levels):
+        t = lang_fun.FBin(op("+"), t, t)
+    return t
+
+
+def _comb(levels, bottom):
+    """Level k is `FBin("+", tower of k - 1 levels over -1, level k - 1)`,
+    level 0 `FNum(bottom)`: the left operands compare equal, and only the
+    bottom of the right spine tells -1 from -2."""
+    towers = [_tower(0, -1)]
+    for _ in range(levels):
+        towers.append(lang_fun.FBin("+", towers[-1], towers[-1]))
+    c = lang_fun.FNum(bottom)
+    for k in range(levels):
+        c = lang_fun.FBin("+", towers[k], c)
+    return c
+
+
+def _count_field_eq(monkeypatch, limit):
+    """`FBin._field_eq` calls, failing past `limit` rather than running an
+    exponential comparison to its end."""
+    calls = [0]
+    field_eq = lang_fun.FBin._field_eq
+
+    def counted(self, other):
+        calls[0] += 1
+        assert calls[0] <= limit, "shared pair compared again"
+        return field_eq(self, other)
+
+    monkeypatch.setattr(lang_fun.FBin, "_field_eq", counted)
+    return calls
+
+
+def test_towers_compare_once_per_level(monkeypatch):
+    # 2**30 leaves each: one field comparison per level.
+    a, b = _tower(30, 1), _tower(30, 1)
+    assert a is not b and hash(a) == hash(b)
+    calls = _count_field_eq(monkeypatch, 100)
+    assert a == b and b == a and not a != b
+    assert calls[0] == 3 * 30
+    assert syntax._equal is None
+
+
+def test_shared_pairs_found_equal_do_not_hide_a_difference(monkeypatch):
+    a, b = _comb(30, -1), _comb(30, -2)
+    assert hash(a) == hash(b)
+    calls = _count_field_eq(monkeypatch, 100)
+    assert a != b
+    # The tower under the top: 29 levels; then each level of the spine.
+    assert calls[0] == 29 + 30
+    calls[0] = 0
+    assert _comb(30, -1) == a
+    assert calls[0] == 29 + 30
+    assert syntax._equal is None
+
+
+@pytest.mark.parametrize("bottoms,equal", [((1, 1), True), ((-1, -2), False)])
+def test_deep_towers_compare_once_per_level_on_the_stack(bottoms, equal):
+    # 400 levels: past the depth where comparison leaves the recursive
+    # field comparison for the explicit stack.
+    a = _tower(400, bottoms[0], _CountedOp)
+    b = _tower(400, bottoms[1], _CountedOp)
+    _CountedOp.calls, _CountedOp.limit = 0, 1000
+    try:
+        assert (a == b) is equal
+        # Unequal, the stack walk reaches the bottom, right operands
+        # first, before it compares an operator.
+        assert _CountedOp.calls == (400 if equal else 200)
+    finally:
+        _CountedOp.calls = _CountedOp.limit = 0
+    assert syntax._equal is None
 
 
 def _nodes(root):

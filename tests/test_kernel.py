@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 import bigstep
-from bigstep import PLUGINS, imp_syntax, kernel, spec_lib
+from bigstep import PLUGINS, imp_syntax, kernel, lang_fun, spec_lib
 from bigstep.kernel import (BUDGET_EXHAUSTED, UNIVERSE, Conclude,
                             Constrained, FAIL, PASS, PRECONDITION_FAILED,
                             SampleBudget,
@@ -30,6 +30,8 @@ from bigstep.spec_lib import (fac_corpus, mglist_corpus, msort_corpus,
                               spec_fac, spec_fac_bad)
 from bigstep.syntax import Node
 from schema1 import expand
+from test_engine_reference import (_ref_derive, plain_derive, ref_derive,
+                                   ref_derive_one)
 
 B = SampleBudget(max_depth=48, max_samples=8, seed=0)
 
@@ -216,6 +218,65 @@ def test_derive_all_keeps_no_memo_entry_after_it_returns():
     assert calls[0] == 42
     assert _memo_entries(plugin) == 0
     assert len(kernel._DERIVE_CACHE) == before
+
+
+def test_tail_chain_answers_every_frame_it_forwards():
+    # The loop is the `Seq`'s tail premise, and each iteration's loop the
+    # previous one's: the walk suspends no frame for them, and answers each
+    # when the last loop returns.  Heights: the loop at x=k is k + 1, so
+    # the `Seq` is 12.  Entries: the `Seq`, `s := 0`, 11 loops and 10
+    # assignments.
+    plugin, calls = _counted()
+    g = wcfg("s := 0 ; while 0 < x do x := x - 1", {"x": 10})
+    done = ((WhileState.of({"s": 0}),), False)
+    assert _derive_shared(plugin, g, 12) == done
+    assert _memo_entries(plugin) == 23
+    heights = {gamma.state.get("x"): entry[2]
+               for (p, gamma), entry in kernel._DERIVE_CACHE.items()
+               if p is plugin and isinstance(gamma.stmt, While)}
+    assert heights == {k: k + 1 for k in range(11)}
+    assert _derive_shared(plugin, g, 11) == ((), True)
+    assert _memo_entries(plugin) == 23
+    calls[0] = 0
+    assert _derive_shared(plugin, g, 12) == done
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("depth", [3, 8, 64])
+@pytest.mark.parametrize("lang", ["while", "extwhile", "fun"])
+def test_walks_with_tail_premises_match_the_reference(lang, depth):
+    # The bundled plugins pass `Conclude` itself as a tail continuation, so
+    # these walks take the tail path.  Their answers, heights included, and
+    # every stored entry are the recursive reference walkers'.
+    plugin = replace(PLUGINS[lang])
+    ref_memo: dict = {}
+    budget = SampleBudget(max_depth=depth)
+    for gamma in random_corpus(lang, 30, 5):
+        full = kernel._walk(plugin, gamma, depth, "all")
+        assert full == _ref_derive(plugin, gamma, depth, None, ({}, {}))
+        assert full[:2] == derive_all(plugin, gamma, budget) == \
+            plain_derive(plugin, gamma, depth)
+        assert derive_one(plugin, gamma, budget) == \
+            ref_derive_one(plugin, gamma, depth)
+        assert kernel._derive_shared(plugin, gamma, budget) == \
+            ref_derive(plugin, gamma, depth, memo=ref_memo)
+    assert {key[1]: entry for key, entry in kernel._DERIVE_CACHE.items()
+            if key[0] is plugin} == ref_memo
+
+
+def test_tail_chain_members_keep_their_memo_entries():
+    # Naive fib calls itself on the same argument many times.  Each call's
+    # body ends in a tail premise; were those frames left out of the walk's
+    # memo, the rules calls would grow exponentially in the argument.
+    fun = PLUGINS["fun"]
+    src = (r"letrec fib = \n. if n < 2 then n else fib (n - 1) + fib (n - 2)"
+           r" in fib %d")
+    for n, result, count in ((15, 610, 171), (25, 75025, 281)):
+        plugin, calls = _counted(fun)
+        g = fun.parse_config(src % n)
+        assert derive_all(plugin, g, SampleBudget(max_depth=512)) == (
+            (lang_fun.FNum(result),), False)
+        assert calls[0] == count
 
 
 @pytest.mark.parametrize("spec_name", sorted(spec_lib.SPECS))
