@@ -13,7 +13,7 @@ import gc
 import hashlib
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from .syntax import Node, hash_once, slot_init
@@ -174,8 +174,9 @@ def seeded_rng(seed: int, *key: object) -> random.Random:
 # Derivation memo shared across walks by the checks that look the same
 # configurations up again (`check_valid`, the crosscheck and the `star`
 # spec, through `_derive_shared`); its entries live as long as the process.
-# Every other walk (`derive_all`, so `run` and `derive`, and the harvest)
-# memoizes on a table of its own, dropped when the walk returns.  This
+# Every other derivation walk (`derive_all`, so `run` and `derive`,
+# `derive_one` and the harvest) memoizes on a table of its own, dropped
+# when the walk returns; inference keeps no memo.  This
 # table maps (plugin, config), and a walk's own table, which serves one
 # plugin, config alone, to (results, False, height): one entry per
 # configuration, stored only for a derivation that no depth cut.  Such a
@@ -216,41 +217,34 @@ def _gc_paused(walk):
 
 
 @_gc_paused
-def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
-          candidates=None):
+def _walk(plugin, gamma, depth, memo=None, candidates=None):
     """Walk the derivations of `gamma` within `depth`, on an explicit stack.
 
-    Every frame, under every premise policy, is answered with (results,
-    exhausted, height): `height` is the derivation's height if it is not
-    exhausted and the budget it was cut at if it is.  Heights: a
-    configuration with no rule instance has height 0, an instance with no
-    premise counts 1, and a frame 1 + the largest height of the premises it
-    opened (memo hits at their stored height).  The premise policy picks
-    what `results` holds:
+    Every frame is answered with (results, exhausted, height): `height` is
+    the derivation's height if it is not exhausted and the budget it was
+    cut at if it is.  Heights: a configuration with no rule instance has
+    height 0, an instance with no premise counts 1, and a frame 1 + the
+    largest height of the premises it opened (memo hits at their stored
+    height).  What `results` holds depends on `candidates`:
 
-    - "all": a tuple of every result.  `memo` keeps each derivation no
-      depth cut, keyed by (plugin, configuration), and answers a lookup
-      from an entry whose height is within the budget; without one, the
-      walk memoizes on a table of its own, keyed by the configuration
-      alone, and dropped when it returns.  The walk keeps its cut answers
-      in `cut`, keyed by (memo key, depth), until it returns.  `visit`,
-      when given, is called on every configuration opened, in order; a
-      memo hit opens nothing, and within one walk its configurations were
-      visited when the entry was made.
-    - "first": the "all" walk without a memo, each frame stopping at its
-      first result, so a tuple of at most one.  Depth 0 is cut without
-      enumerating rules.
-    - "spec": {result: InferTrace}.  A premise takes the (result, None)
-      pairs that `candidates(premise)` lists or, when that is None, every
-      result inferred for it below.
+    - None (derivation): a tuple of every result.  `memo` keeps each
+      derivation no depth cut, keyed by (plugin, configuration), and
+      answers a lookup from an entry whose height is within the budget;
+      without one, the walk memoizes on a table of its own, keyed by the
+      configuration alone, and dropped when it returns.  The walk keeps its
+      cut answers in `cut`, keyed by (memo key, depth), until it returns.
+      A memo hit calls no rules.
+    - A hook (inference): {result: InferTrace}, with no memo.  A premise
+      takes the (result, None) pairs that `candidates(premise)` lists or,
+      when that is None, every result inferred for it below.
 
-    Under "all" and "first", a tail premise takes no frame: when a frame's
-    only work left is a premise whose continuation is `Conclude` itself,
-    and that premise needs a frame, the frame's results are the premise's.
+    Under derivation, a tail premise takes no frame: when a frame's only
+    work left is a premise whose continuation is `Conclude` itself, and
+    that premise needs a frame, the frame's results are the premise's.
     The frame is not suspended; it is answered when the premise is, from
     its exhausted flag and height so far, so a loop of n iterations holds
-    no frame per iteration.  (Under "spec" each level wraps the premise's
-    traces in its own.)
+    no frame per iteration.  (Under inference each level wraps the
+    premise's traces in its own.)
 
     Work is done in exactly the order of a recursive walk that tries rule
     instances in order, derives a premise fully before feeding its results
@@ -260,8 +254,8 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
     `Conclude`.
     """
     rules = plugin.rules
-    first, infer = policy == "first", policy == "spec"
-    own = policy == "all" and memo is None
+    infer = candidates is not None
+    own = memo is None and not infer
     if own:
         memo = {}
     # The frame being worked on lives in locals: `top` is its (gamma,
@@ -270,15 +264,15 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
     # LIFO drained before the next instance starts.  A resume point (need,
     # steps, rule index, candidates, position) feeds a premise's next
     # candidate to `need.rest`, and the continuation it returns is worked
-    # on at once; `steps` are the PremiseSteps taken so far (spec policy
+    # on at once; `steps` are the PremiseSteps taken so far (inference
     # only), and candidates are a premise's results, as (result, sub-trace
-    # or None) pairs under the spec policy.  `height` is the frame's height
-    # so far, and its depth once a premise is cut.  `out` maps each result
-    # to its InferTrace (spec) or None, in first-found order.  `waiting` is
-    # the (need, steps, rule index) of the premise being derived below.
+    # or None) pairs under inference.  `height` is the frame's height so
+    # far, and its depth once a premise is cut.  `out` maps each result to
+    # its InferTrace (inference) or None, in first-found order.  `waiting`
+    # is the (need, steps, rule index) of the premise being derived below.
     # `fwd` lists the frames whose tail premise this frame is, outermost
-    # first, as (height, exhausted, memo key, depth): without a memo, the
-    # key is None.  Suspended frames are saved on `stack`.
+    # first, as (height, exhausted, memo key, depth).  Suspended frames are
+    # saved on `stack`.
     stack: list = []
     top = None
     fwd: Any = ()
@@ -288,32 +282,27 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
         # frame of its own.
         key = None
         value = _OPEN
-        if first and depth <= 0:
-            value = ((), True, 0)
-        else:
-            if memo is not None:
-                key = gamma if own else (plugin, gamma)
-                hit = memo.get(key)
-                if hit is not None and hit[2] <= depth:
-                    value = hit
-                elif cut:
-                    value = cut.get((key, depth), _OPEN)
-            if value is _OPEN:
-                if visit is not None:
-                    visit(gamma)
-                opened = rules(gamma)
-                if depth <= 0:
-                    value = ({} if infer else (), bool(opened), 0)
-                elif len(opened) == 1 and isinstance(opened[0], Conclude):
-                    # An axiom instance needs no frame.
-                    r = opened[0].result
-                    value = (({r: InferTrace(gamma, r, 0, ())} if infer
-                              else (r,)), False, 1)
-                if memo is not None and value is not _OPEN:
-                    if value[1]:
-                        cut[key, depth] = value
-                    else:
-                        memo[key] = value
+        if memo is not None:
+            key = gamma if own else (plugin, gamma)
+            hit = memo.get(key)
+            if hit is not None and hit[2] <= depth:
+                value = hit
+            elif cut:
+                value = cut.get((key, depth), _OPEN)
+        if value is _OPEN:
+            opened = rules(gamma)
+            if depth <= 0:
+                value = ({} if infer else (), bool(opened), 0)
+            elif len(opened) == 1 and isinstance(opened[0], Conclude):
+                # An axiom instance needs no frame.
+                r = opened[0].result
+                value = (({r: InferTrace(gamma, r, 0, ())} if infer
+                          else (r,)), False, 1)
+            if memo is not None and value is not _OPEN:
+                if value[1]:
+                    cut[key, depth] = value
+                else:
+                    memo[key] = value
         if value is _OPEN:
             if top is not None:
                 if (not infer and waiting[0].rest is Conclude and not out
@@ -369,8 +358,6 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
                     r = app.result
                     if not infer:
                         out[r] = None
-                        if first:
-                            break
                     elif r not in out:
                         out[r] = InferTrace(top[0], r, idx, steps)
                     continue
@@ -397,11 +384,10 @@ def _walk(plugin, gamma, depth, policy, memo=None, visit=None,
                 h = max(entry[0], h + 1)
                 ex = entry[1] or ex
                 value = (results, ex, h)
-                if memo is not None:
-                    if ex:
-                        cut[entry[2], entry[3]] = value
-                    else:
-                        memo[entry[2]] = value
+                if ex:
+                    cut[entry[2], entry[3]] = value
+                else:
+                    memo[entry[2]] = value
             if stack:
                 (top, apps, nxt, agenda, out, exhausted, height, waiting,
                  fwd) = stack.pop()
@@ -419,29 +405,26 @@ def derive_all(plugin: LanguagePlugin, gamma: Config, budget: SampleBudget):
 
     The walk derives each sub-configuration once per call, on a memo table
     of its own, and keeps nothing after it returns: a second call derives
-    again.
+    again.  `derive_one` runs the same walk.
     """
-    return _walk(plugin, gamma, budget.max_depth, "all")[:2]
+    return _walk(plugin, gamma, budget.max_depth)[:2]
 
 
 def _derive_shared(plugin, gamma, budget):
     """`derive_all` on the process-wide memo (`_DERIVE_CACHE`), for the
     checks that look the same configurations up again across walks."""
-    return _walk(plugin, gamma, budget.max_depth, "all", _DERIVE_CACHE)[:2]
+    return _walk(plugin, gamma, budget.max_depth, _DERIVE_CACHE)[:2]
 
 
 def derive_one(plugin: LanguagePlugin, gamma: Config,
                budget: SampleBudget) -> Optional[ResultConfig]:
-    """First derivable result, or None (stuck or budget cut).
+    """The first result of `derive_all`'s walk, or None when that walk
+    finds no result (`gamma` is stuck, or the budget cut every derivation).
 
-    Fast path for deterministic languages; any value returned is a member of
-    derive_all's set for the same budget.  Its "first" policy is the
-    all-walk without a memo, each frame stopping at its first result.  It
-    exists because the all-walk, which tries every rule instance (both `if`
-    rules, say), gave the same results 10-18% slower on the merge-verify
-    `fun` inputs and 5-10% slower on the `extwhile` ones.
+    It is `derive_all`, results in the same order, memo and all: a long
+    loop holds the walk's memo until it returns, as under `derive_all`.
     """
-    results = _walk(plugin, gamma, budget.max_depth, "first")[0]
+    results = _walk(plugin, gamma, budget.max_depth)[0]
     return results[0] if results else None
 
 
@@ -494,7 +477,7 @@ def infer_results(plugin, spec, param, gamma, budget):
                 kept[c] = None
         return list(kept.items())
 
-    return _walk(plugin, gamma, budget.max_depth, "spec",
+    return _walk(plugin, gamma, budget.max_depth,
                  candidates=candidates)[:2]
 
 
@@ -647,10 +630,19 @@ def _report(counterexamples, exhausted, stats) -> CheckReport:
 
 
 def _reachable(plugin, corpus, budget) -> list:
-    """Configurations touched while deriving the corpus, in visit order."""
+    """Configurations touched while deriving the corpus, in visit order:
+    those whose rules the walks enumerated (a memo hit enumerates none, and
+    within one walk its configurations were enumerated when it was made)."""
     visited: dict = {}
+    rules = plugin.rules
+
+    def visit(gamma):
+        visited[gamma] = None  # a repeat keeps its first place
+        return rules(gamma)
+
+    harvest = replace(plugin, rules=visit)
     for gamma in corpus:
-        _walk(plugin, gamma, budget.max_depth, "all", visit=visited.setdefault)
+        _walk(harvest, gamma, budget.max_depth)
     return list(visited)
 
 

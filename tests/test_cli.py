@@ -274,6 +274,42 @@ def test_unreadable_program_file_exits_two(capsys, tmp_path):
     assert err.startswith("error: cannot read ")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("run", "--lang", "nope", "--config", "x := 1"),
+     "unknown language 'nope' (choose from extwhile, fun, while)"),
+    (("run", "--lang", "while", "--config", "x := 1", "--depth", "-1"),
+     "budget fields must be non-negative"),
+    (("check-verif", "--lang", "while", "--spec", "fac", "--m", "1..x"),
+     "bad range '1..x': invalid literal for int() with base 10: 'x'"),
+    (("check-verif", "--lang", "while", "--spec", "fac", "--config",
+      "x := := 1"),
+     "parse error: expected identifier, found ':=' (at offset 5)"),
+    (("run", "--lang", "while"), "run needs --program and/or --config"),
+    (("check-verif", "--lang", "while"), "check-verif needs --spec"),
+    (("run", "--lang", "extwhile", "--config",
+      "skip || skip || skip || x=1"),
+     "parse error: too many '||' sections"),
+], ids=["unknown-lang", "negative-depth", "bad-range", "check-parse-error",
+        "run-without-config", "check-without-spec", "extwhile-sections"])
+def test_usage_error_exits_two_with_a_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == "error: " + message
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and out.startswith("usage: bigstep")
+
+
+def test_comma_separated_m_range_checks_those_values(capsys):
+    code, out, _ = run_cli(capsys, "check-verif", "--lang", "while",
+                           "--spec", "fac", "--m", "1,2,5")
+    assert code == 0
+    size = len(bigstep.spec_lib.fac_corpus([1, 2, 5]))
+    assert out.startswith("status: pass\ncorpus size: %d\n" % size)
+
+
 def test_readme_common_flags_are_the_commands_options():
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           os.pardir, "README.md")

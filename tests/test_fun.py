@@ -350,6 +350,17 @@ def test_parse_print_round_trip():
     assert ev(e) == FNum(3)
 
 
+def test_at_most_sugar_and_conjunction_print_and_parse_back():
+    # `a <= b` is sugar for `not (b < a)`; `and` prints in parentheses.
+    e = parse_expr("if 1 <= x and not (x = 3) then 1 else 2")
+    assert e == FIf(FAnd(FNot(FBin("<", FVar("x"), FNum(1))),
+                         FNot(FBin("=", FVar("x"), FNum(3)))),
+                    FNum(1), FNum(2))
+    assert print_expr(e) == \
+        "(if ((not (x < 1)) and (not (x = 3))) then 1 else 2)"
+    assert parse_expr(print_expr(e)) == e
+
+
 def test_negative_literal_argument_prints_in_parentheses():
     e = FApp(FVar("f"), FNum(-3))
     assert print_expr(e) == "(f (-3))"

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 import bigstep
 from bigstep import PLUGINS, imp_syntax, kernel, lang_fun, spec_lib
 from bigstep.kernel import (BUDGET_EXHAUSTED, UNIVERSE, Conclude,
-                            Constrained, FAIL, PASS, PRECONDITION_FAILED,
-                            SampleBudget,
+                            Constrained, FAIL, LanguagePlugin, Need, PASS,
+                            PRECONDITION_FAILED, PremiseStep, SampleBudget,
                             Specification, check_soundness_crosscheck,
                             check_valid, check_verif, derive_all, derive_one,
                             infer_results, replay_trace,
@@ -30,8 +30,8 @@ from bigstep.spec_lib import (fac_corpus, mglist_corpus, msort_corpus,
                               spec_fac, spec_fac_bad)
 from bigstep.syntax import Node
 from schema1 import expand
-from test_engine_reference import (_ref_derive, plain_derive, ref_derive,
-                                   ref_derive_one)
+from test_engine_reference import (CHOICE, _ref_derive, plain_derive,
+                                   ref_derive)
 
 B = SampleBudget(max_depth=48, max_samples=8, seed=0)
 
@@ -64,12 +64,22 @@ def test_derive_all_empty_without_exhaustion_certifies_no_derivation():
 def test_derive_one_result_is_member_of_derive_all():
     for i in range(40):
         g = random_corpus("while", 1, 100 + i)[0]
-        one = derive_one(WHILE, g, B)
         alls, _ = derive_all(WHILE, g, B)
-        if one is None:
-            assert alls == ()
-        else:
-            assert one in alls
+        assert derive_one(WHILE, g, B) == (alls[0] if alls else None)
+
+
+def test_derive_one_feeds_every_premise_result_to_the_side_condition():
+    # `A`'s one rule needs `B`, whose two axioms give 1 and then 2, and its
+    # side condition admits only 2.  A walk that stopped each frame at its
+    # first result fed the condition 1 alone and found nothing.
+    def rules(gamma):
+        if gamma == "A":
+            return [Need("B", lambda r: Conclude(r) if r == 2 else None)]
+        return [Conclude(1), Conclude(2)] if gamma == "B" else []
+
+    plugin = LanguagePlugin("two", rules, str, str)
+    assert derive_all(plugin, "A", B) == ((2,), False)
+    assert derive_one(plugin, "A", B) == 2
 
 
 def test_deeper_budget_never_loses_results():
@@ -252,12 +262,12 @@ def test_walks_with_tail_premises_match_the_reference(lang, depth):
     ref_memo: dict = {}
     budget = SampleBudget(max_depth=depth)
     for gamma in random_corpus(lang, 30, 5):
-        full = kernel._walk(plugin, gamma, depth, "all")
+        full = kernel._walk(plugin, gamma, depth)
         assert full == _ref_derive(plugin, gamma, depth, None, ({}, {}))
         assert full[:2] == derive_all(plugin, gamma, budget) == \
             plain_derive(plugin, gamma, depth)
         assert derive_one(plugin, gamma, budget) == \
-            ref_derive_one(plugin, gamma, depth)
+            (full[0][0] if full[0] else None)
         assert kernel._derive_shared(plugin, gamma, budget) == \
             ref_derive(plugin, gamma, depth, memo=ref_memo)
     assert {key[1]: entry for key, entry in kernel._DERIVE_CACHE.items()
@@ -395,6 +405,31 @@ def test_tampered_trace_does_not_replay():
     assert replay_trace(WHILE, bad) is None
 
 
+def test_tampered_premises_do_not_replay():
+    fun = PLUGINS["fun"]
+    traced, _ = infer_results(fun, trivial_spec(), None,
+                              fun.parse_config("if 1 < 2 then 3 else 4"), B)
+    ((result, trace),) = traced.items()
+    assert replay_trace(fun, trace) == result == lang_fun.FNum(3)
+    # Rule 0: the condition is true, then the `then` branch.
+    assert trace.rule_index == 0
+    cond, then = trace.premises
+    false = lang_fun.FBool(False)
+    assert cond.sub.result != false
+    tampered = {
+        "not the instance's premise": (
+            replace(cond, config=fun.parse_config("2 < 3")), then),
+        "not the sub-trace's result": (replace(cond, result=false), then),
+        "a premise dropped": (cond,),
+        "a premise added": (cond, then, then),
+        "a sampled result rule 0 rejects": (
+            PremiseStep(cond.config, false, None), then),
+    }
+    for name, premises in tampered.items():
+        assert replay_trace(fun, replace(trace, premises=premises)) is None, \
+            name
+
+
 # ---------------------------------------------------------------------------
 # Checkers
 # ---------------------------------------------------------------------------
@@ -416,6 +451,60 @@ def test_check_valid_statuses():
     shallow = SampleBudget(3, 16, 0)
     assert check_valid(WHILE, spec_fac(), corpus,
                        shallow).status == BUDGET_EXHAUSTED
+
+
+def test_check_valid_finds_every_result_but_the_first_on_choice():
+    # Configuration 3 admits only its first derived result.  Its premises
+    # 2 and 1 admit any result but sample none, so inference at 3 finds no
+    # result and verification passes: validity, and the crosscheck through
+    # it, must find the excluded results themselves.
+    budget = SampleBudget(16, 8, 0)
+    derived, exhausted = derive_all(CHOICE, 3, budget)
+    assert len(derived) == 8 and not exhausted
+
+    def at(param, n):
+        if n == 3:
+            return Constrained(lambda r: r == derived[0],
+                               lambda b: [derived[0]], "first result")
+        if n in (1, 2):
+            return Constrained(lambda r: True, lambda b: [], "any result")
+        return UNIVERSE
+
+    spec = Specification((None,), at)
+    assert check_verif(CHOICE, spec, [3], budget).status == PASS
+    for check in (check_valid, check_soundness_crosscheck):
+        report = check(CHOICE, spec, [3], budget)
+        assert report.status == FAIL, check.__name__
+        assert [(cx.config, cx.result) for cx in report.counterexamples] \
+            == [(3, r) for r in derived[1:]]
+        for cx in report.counterexamples:
+            assert replay_trace(CHOICE, cx.trace) == cx.result
+
+
+def test_crosscheck_finds_every_result_inference_misses_on_choice():
+    # Configuration 2 admits only its first derived result but samples
+    # none, and 1 admits any result but samples none: verification passes
+    # at both, and 3 is unconstrained, so validity passes too.  With the
+    # derived results sampled, inference at 3 still takes only 2's first
+    # result, and misses the results of 3 that need another.
+    budget = SampleBudget(16, 8, 0)
+    first = derive_all(CHOICE, 2, budget)[0][0]
+
+    def at(param, n):
+        if n == 2:
+            return Constrained(lambda r: r == first, lambda b: [],
+                               "first result")
+        if n == 1:
+            return Constrained(lambda r: True, lambda b: [], "any result")
+        return UNIVERSE
+
+    spec = Specification((None,), at)
+    assert check_verif(CHOICE, spec, [3], budget).status == PASS
+    assert check_valid(CHOICE, spec, [3], budget).status == PASS
+    report = check_soundness_crosscheck(CHOICE, spec, [3], budget)
+    assert report.status == FAIL
+    assert [(cx.config, cx.result) for cx in report.counterexamples] == \
+        [(3, r) for r in (5, 1, 6, 8, 0)]
 
 
 def _json_depth(doc) -> int:
