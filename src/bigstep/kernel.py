@@ -176,14 +176,14 @@ def seeded_rng(seed: int, *key: object) -> random.Random:
 # spec, through `_derive_shared`); its entries live as long as the process.
 # Every other derivation walk (`derive_all`, so `run` and `derive`,
 # `derive_one` and the harvest) memoizes on a table of its own, dropped
-# when the walk returns; inference keeps no memo.  This
-# table maps (plugin, config), and a walk's own table, which serves one
-# plugin, config alone, to (results, False, height): one entry per
-# configuration, stored only for a derivation that no depth cut.  Such a
-# derivation gives the same results, in the same order, at every budget from
-# its height up, so its entry answers all of them.  A lookup below the
-# height derives again and keeps the entry.  A cut answer is kept only by
-# the walk that made it, for the same configuration at the same depth.
+# when the walk returns; inference keeps no memo.  This table maps (plugin,
+# config), and a walk's own table config alone, to (results, False, height)
+# for each configuration whose frame no depth cut; an answer known when its
+# configuration is opened is kept nowhere (see `_walk`).  Such a derivation
+# answers every budget from its height up, with the same results in the
+# same order.  A lookup below the height derives again and keeps the
+# entry.  A cut answer is kept only by the walk that made it, for the same
+# configuration at the same depth.
 _DERIVE_CACHE: dict[tuple, tuple[tuple, bool, int]] = {}
 
 _OPEN = object()  # no value yet: the configuration needs a frame
@@ -227,13 +227,15 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
     largest height of the premises it opened (memo hits at their stored
     height).  What `results` holds depends on `candidates`:
 
-    - None (derivation): a tuple of every result.  `memo` keeps each
-      derivation no depth cut, keyed by (plugin, configuration), and
-      answers a lookup from an entry whose height is within the budget;
+    - None (derivation): a tuple of every result.  `memo` keeps the
+      answer of each frame no depth cut, keyed by (plugin, configuration),
+      and answers a lookup from an entry whose height is within the budget;
       without one, the walk memoizes on a table of its own, keyed by the
       configuration alone, and dropped when it returns.  The walk keeps its
-      cut answers in `cut`, keyed by (memo key, depth), until it returns.
-      A memo hit calls no rules.
+      frames' cut answers in `cut`, keyed by (memo key, depth), until it
+      returns.  A memo hit calls no rules.  An answer known when opened
+      (depth 0, an axiom instance, no rule instance) is stored nowhere:
+      the one `rules` call a hit would save gives it again.
     - A hook (inference): {result: InferTrace}, with no memo.  A premise
       takes the (result, None) pairs that `candidates(premise)` lists or,
       when that is None, every result inferred for it below.
@@ -291,18 +293,13 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
                 value = cut.get((key, depth), _OPEN)
         if value is _OPEN:
             opened = rules(gamma)
-            if depth <= 0:
+            if depth <= 0 or not opened:
                 value = ({} if infer else (), bool(opened), 0)
             elif len(opened) == 1 and isinstance(opened[0], Conclude):
                 # An axiom instance needs no frame.
                 r = opened[0].result
                 value = (({r: InferTrace(gamma, r, 0, ())} if infer
                           else (r,)), False, 1)
-            if memo is not None and value is not _OPEN:
-                if value[1]:
-                    cut[key, depth] = value
-                else:
-                    memo[key] = value
         if value is _OPEN:
             if top is not None:
                 if (not infer and waiting[0].rest is Conclude and not out
@@ -319,8 +316,7 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
                                   fwd))
                     fwd = ()
             top, apps, nxt, agenda = (gamma, depth, key), opened, 0, []
-            out, exhausted = {}, False
-            height = 1 if opened else 0
+            out, exhausted, height = {}, False, 1
 
         while True:
             if value is not _OPEN:
@@ -785,13 +781,15 @@ def _derivation_informed(plugin, spec) -> Specification:
 def star_spec(plugin, budget, param_domain=(None,)) -> Specification:
     """The most informative specification, bounded by the budget.
 
-    Maps every configuration to the set of its derivable results at the
-    budget's depth.  The parameter is ignored; `param_domain` exists so the
-    result can be compared against parameterized specs.
+    Maps every configuration to its derivable results at the budget's
+    depth, or to UNIVERSE where the budget cut them.  The parameter is
+    ignored; `param_domain` lets it be compared with parameterized specs.
     """
 
     def at(param, gamma):
-        results, _ = _derive_shared(plugin, gamma, budget)
+        results, cut = _derive_shared(plugin, gamma, budget)
+        if cut:
+            return UNIVERSE
         members = frozenset(results)
         return Constrained(
             contains=lambda r, _m=members: r in _m,

@@ -100,6 +100,19 @@ def test_star_check_of_a_recursion_the_budget_cuts_exits_zero():
     assert proc.stdout.startswith("status: pass")
 
 
+def test_star_check_of_a_loop_the_budget_cuts_exits_zero(capsys):
+    # At depth 3 the derivation from x=5 is cut; the `star` spec knows no
+    # set there, so it checks the loops at x=2..0 only.  It used to take
+    # the cut derivation's empty result set as exact and refute the loop
+    # at x=3 with its actual result `all zero`.
+    code, out, _ = run_cli(capsys, "star-check", "--lang", "while",
+                           "--config", "while 0 < x do x := x - 1",
+                           "--state", "x=5", "--depth", "3")
+    assert code == 0
+    assert out.startswith("status: pass\ncorpus size: 1\n"
+                          "configs_checked: 3\n")
+
+
 def test_parse_error_exits_two(capsys):
     code, _, err = run_cli(capsys, "run", "--lang", "while",
                            "--config", "x := := 1")

@@ -2,7 +2,8 @@
 replaced, kept here as the reference: same results in the same order, same
 `exhausted` flags, same traces, and the same plugin and spec calls in the
 same order.  The reference derivation memoizes with the engine's entry
-rule (one entry per configuration, answered from its height up), on a
+rule (one entry per configuration whose answer took the engine a frame,
+answered from its height up; none for one known when it is opened), on a
 table of its own unless one is shared, and a memo-free definition checks
 the answers of a memo shared across depths and the reachable harvest."""
 
@@ -34,11 +35,13 @@ def ref_derive(plugin, gamma, depth, memo=None):
     """(results, exhausted) of `gamma` within `depth`.
 
     Memoized with the engine's entry rule: `memo`, or a table of this
-    call's own, maps a configuration whose derivation no depth cut to
-    (results, False, height).  An entry answers every budget from its
-    height up; a lookup below it derives again and keeps the entry.  A cut
-    answer is kept only for this call, keyed by configuration and depth,
-    and answers only that depth."""
+    call's own, maps a configuration whose derivation took a frame and no
+    depth cut to (results, False, height).  An entry answers every budget
+    from its height up; a lookup below it derives again and keeps the
+    entry.  A cut answer is kept only for this call, keyed by configuration
+    and depth, and answers only that depth.  An answer the engine knows
+    when it opens the configuration (depth 0, an axiom instance, no rule
+    instance) is kept nowhere."""
     memo = ({} if memo is None else memo, {})
     return _ref_derive(plugin, gamma, depth, None, memo)[:2]
 
@@ -54,10 +57,7 @@ def _ref_derive(plugin, gamma, depth, visit, memo):
         visit(gamma)
     apps = plugin.rules(gamma)
     if depth <= 0:
-        out = ((), bool(apps), 0)
-        if memo is not None:
-            remember(memo, gamma, depth, out)
-        return out
+        return ((), bool(apps), 0)
 
     results: list = []
     seen: set = set()
@@ -83,11 +83,16 @@ def _ref_derive(plugin, gamma, depth, visit, memo):
         walk(app)
     out = (tuple(results), exhausted, depth if exhausted else height)
     if memo is not None:
-        remember(memo, gamma, depth, out)
+        remember(memo, gamma, depth, apps, out)
     return out
 
 
-def remember(memo, gamma, depth, out):
+def remember(memo, gamma, depth, apps, out):
+    """Store `out` if it took the engine a frame: not for a configuration
+    with no rule instance or with one instance and no premise, whose
+    answer one `rules` call gives again."""
+    if not apps or (len(apps) == 1 and isinstance(apps[0], Conclude)):
+        return
     if out[1]:
         memo[1][gamma, depth] = out
     else:

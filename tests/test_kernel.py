@@ -23,8 +23,8 @@ from bigstep.kernel import (BUDGET_EXHAUSTED, UNIVERSE, Conclude,
                             infer_results, replay_trace,
                             seeded_rng, spec_refines, star_spec, trivial_spec)
 from bigstep.imp_syntax import Stmt, print_stmt
-from bigstep.lang_while import PLUGIN as WHILE, While, WhileConfig, \
-    WhileState, parse_stmt
+from bigstep.lang_while import PLUGIN as WHILE, Assign, Seq, While, \
+    WhileConfig, WhileState, parse_stmt
 from bigstep.random_programs import loop_free_corpus, random_corpus
 from bigstep.spec_lib import (fac_corpus, mglist_corpus, msort_corpus,
                               spec_fac, spec_fac_bad)
@@ -131,8 +131,10 @@ def _derive_shared(plugin, g, depth):
 
 
 def test_memo_entry_answers_from_its_height_up():
-    # x=10 runs ten iterations and a last guard test: height 11.  One entry
-    # per configuration: 11 loop configurations and 10 assignments.
+    # x=10 runs ten iterations and a last guard test: height 11.  Only the
+    # answers that took a frame are stored: the loops at x=10..1.  The loop
+    # at x=0 and the assignments are axiom instances, answered by the one
+    # `rules` call a memo hit would save.
     plugin, calls = _counted()
     g = wcfg("while 0 < x do x := x - 1", {"x": 10})
     done = ((WhileState.of({}),), False)
@@ -141,78 +143,88 @@ def test_memo_entry_answers_from_its_height_up():
         return _derive_shared(plugin, g, depth)
 
     assert at(22) == done
-    assert _memo_entries(plugin) == 21
+    assert _memo_entries(plugin) == 10
     assert at(10) == ((), True)
     # The cut call left the complete entries in place: they still answer.
     calls[0] = 0
     assert at(22) == done
     assert at(11) == done
     assert calls[0] == 0
-    assert _memo_entries(plugin) == 21
+    assert _memo_entries(plugin) == 10
     calls[0] = 0
     for depth in (16, 20, 33):
         assert at(depth) == done
     assert calls[0] == 0
-    assert _memo_entries(plugin) == 21
+    assert _memo_entries(plugin) == 10
 
 
 def test_cut_derivation_stores_only_what_it_completed():
-    # At depth 8 the loop at x=k opens at depth k-2 and its assignment at
-    # k-3: the budget cuts every loop configuration and the assignment at
-    # x=3, and the assignments at x=10..4 complete.
+    # The body `x := x - 1 ; skip` takes a frame of height 2 (its two
+    # statements are axiom instances).  At depth 8 the loop at x=k opens at
+    # depth k-2 and its body at k-3: the bodies at x=10..5 complete, the
+    # body at x=4 is cut at its assignment, so the loop at x=3 is never
+    # opened, and the budget cuts every loop configuration.
     plugin, calls = _counted()
-    g = wcfg("while 0 < x do x := x - 1", {"x": 10})
+    g = wcfg("while 0 < x do (x := x - 1 ; skip)", {"x": 10})
 
     def stored():
-        """The x of each stored configuration, none of them a loop."""
+        """The x of each stored configuration, each of them a body."""
         keys = [key[1] for key in kernel._DERIVE_CACHE if key[0] is plugin]
-        assert not any(isinstance(gamma.stmt, While) for gamma in keys)
+        assert all(isinstance(gamma.stmt, Seq) for gamma in keys)
         return sorted(gamma.state.get("x") for gamma in keys)
 
     assert _derive_shared(plugin, g, 8) == ((), True)
-    assert stored() == list(range(4, 11))
-    # A repeat call derives the cut configurations again (8 loops and the
-    # assignment at x=3) and reads the completed assignments.
+    assert calls[0] == 27
+    assert stored() == list(range(5, 11))
+    # A repeat call derives the cut configurations again (7 loops, the body
+    # at x=4 and its assignment) and reads the completed bodies.
     calls[0] = 0
     assert _derive_shared(plugin, g, 8) == ((), True)
     assert calls[0] == 9
-    assert stored() == list(range(4, 11))
-    assert _derive_shared(plugin, g, 11) == (
+    assert stored() == list(range(5, 11))
+    # The loop at x=k has height k + 2: 10 loops and 10 bodies are stored.
+    assert _derive_shared(plugin, g, 11) == ((), True)
+    assert _derive_shared(plugin, g, 12) == (
         (WhileState.of({}),), False)
-    assert _memo_entries(plugin) == 21
+    assert _memo_entries(plugin) == 20
 
 
 def test_cut_premise_is_derived_once_per_depth_within_a_walk():
     # Both `if` rules derive the condition `f n` at the same depth, and the
     # condition recurses into the same configuration.  Rederiving the cut
     # condition for the second rule would double the work per level; the
-    # walk's own table of cut answers keeps the growth linear in the depth.
+    # walk's own table of cut answers keeps the growth linear in the depth:
+    # 16 `rules` calls per 8 levels (the count repeats its steps every 8),
+    # the values evaluated on the way being opened again each time.
     fun = PLUGINS["fun"]
     g = fun.parse_config("letrec f = \\n. if f n then 1 else 0 in f 0")
     counts = []
-    for depth in (20, 30, 40):
+    for depth in (24, 32, 40):
         plugin, calls = _counted(fun)
         assert _derive_shared(plugin, g, depth) == ((), True)
-        # Only the four values evaluated on the way complete.
-        assert _memo_entries(plugin) == 4
+        # Nothing that took a frame completes; the values evaluated on the
+        # way are axiom instances, stored nowhere.
+        assert _memo_entries(plugin) == 0
         counts.append(calls[0])
-    assert counts[1] - counts[0] == counts[2] - counts[1] == 10
+    assert counts[1] - counts[0] == counts[2] - counts[1] == 16
 
 
 def test_reachable_harvest_grows_linearly_in_the_depth():
     # The harvest memoizes on its walk's own table, cut answers included,
     # so the condition both `if` rules derive at one depth is derived once.
     # A harvest that derived it again per rule doubled its work every few
-    # levels of depth (6,652 `rules` calls at depth 40).
+    # levels of depth (6,652 `rules` calls at depth 40).  The values on the
+    # way, which take no frame, cost a call each time they are opened: 16
+    # calls per 8 levels, as for the derivation above.
     fun = PLUGINS["fun"]
     g = fun.parse_config("letrec f = \\n. if f n then 1 else 0 in f 0")
     counts = []
-    for depth in (20, 30, 40):
+    for depth in (24, 32, 40):
         plugin, calls = _counted(fun)
         assert len(kernel._reachable(plugin, [g],
                                      SampleBudget(max_depth=depth))) == 10
         counts.append(calls[0])
-    assert counts[1] - counts[0] == counts[2] - counts[1] == 10
+    assert counts[1] - counts[0] == counts[2] - counts[1] == 16
 
 
 def test_derive_all_keeps_no_memo_entry_after_it_returns():
@@ -234,19 +246,20 @@ def test_tail_chain_answers_every_frame_it_forwards():
     # The loop is the `Seq`'s tail premise, and each iteration's loop the
     # previous one's: the walk suspends no frame for them, and answers each
     # when the last loop returns.  Heights: the loop at x=k is k + 1, so
-    # the `Seq` is 12.  Entries: the `Seq`, `s := 0`, 11 loops and 10
-    # assignments.
+    # the `Seq` is 12.  Entries, for the frames only: the `Seq` and the
+    # loops at x=10..1 (the loop at x=0 and the assignments are axiom
+    # instances).
     plugin, calls = _counted()
     g = wcfg("s := 0 ; while 0 < x do x := x - 1", {"x": 10})
     done = ((WhileState.of({"s": 0}),), False)
     assert _derive_shared(plugin, g, 12) == done
-    assert _memo_entries(plugin) == 23
+    assert _memo_entries(plugin) == 11
     heights = {gamma.state.get("x"): entry[2]
                for (p, gamma), entry in kernel._DERIVE_CACHE.items()
                if p is plugin and isinstance(gamma.stmt, While)}
-    assert heights == {k: k + 1 for k in range(11)}
+    assert heights == {k: k + 1 for k in range(1, 11)}
     assert _derive_shared(plugin, g, 11) == ((), True)
-    assert _memo_entries(plugin) == 23
+    assert _memo_entries(plugin) == 11
     calls[0] = 0
     assert _derive_shared(plugin, g, 12) == done
     assert calls[0] == 0
@@ -257,7 +270,8 @@ def test_tail_chain_answers_every_frame_it_forwards():
 def test_walks_with_tail_premises_match_the_reference(lang, depth):
     # The bundled plugins pass `Conclude` itself as a tail continuation, so
     # these walks take the tail path.  Their answers, heights included, and
-    # every stored entry are the recursive reference walkers'.
+    # every stored entry are the recursive reference walkers', which store
+    # the answers of frames only.
     plugin = replace(PLUGINS[lang])
     ref_memo: dict = {}
     budget = SampleBudget(max_depth=depth)
@@ -277,16 +291,56 @@ def test_walks_with_tail_premises_match_the_reference(lang, depth):
 def test_tail_chain_members_keep_their_memo_entries():
     # Naive fib calls itself on the same argument many times.  Each call's
     # body ends in a tail premise; were those frames left out of the walk's
-    # memo, the rules calls would grow exponentially in the argument.
+    # memo, the rules calls would grow exponentially in the argument.  They
+    # grow by 19 per unit of n: the values and variables each call opens
+    # take no frame and cost a call each time.
     fun = PLUGINS["fun"]
     src = (r"letrec fib = \n. if n < 2 then n else fib (n - 1) + fib (n - 2)"
            r" in fib %d")
-    for n, result, count in ((15, 610, 171), (25, 75025, 281)):
+    for n, result, count in ((15, 610, 291), (25, 75025, 481),
+                             (35, 9227465, 671)):
         plugin, calls = _counted(fun)
         g = fun.parse_config(src % n)
         assert derive_all(plugin, g, SampleBudget(max_depth=512)) == (
             (lang_fun.FNum(result),), False)
         assert calls[0] == count
+
+
+def test_memo_holds_only_the_answers_of_frames():
+    # Of a 1,000-iteration loop the memo keeps the program, the 1,000 loop
+    # configurations that run an iteration and their 1,000 bodies.  The
+    # assignments and the loop at n=0 are axiom instances: storing them
+    # would double the table and save one `rules` call per repeat.
+    g = wcfg("s := c ; while 0 < n do (s := s + n ; n := n - 1)",
+             {"c": 7, "n": 1000})
+    memo: dict = {}
+    full = kernel._walk(WHILE, g, 2000, memo)
+    assert full == _ref_derive(WHILE, g, 2000, None, None)
+    assert full == ((WhileState.of({"c": 7, "n": 0, "s": 500507}),),
+                    False, 1003)
+    assert not any(isinstance(gamma.stmt, Assign) for _, gamma in memo)
+    loops = {gamma.state.get("n"): entry[2] for (_, gamma), entry
+             in memo.items() if isinstance(gamma.stmt, While)}
+    bodies = [entry[2] for (_, gamma), entry in memo.items()
+              if isinstance(gamma.stmt, Seq) and gamma != g]
+    assert loops == {n: n + 2 for n in range(1, 1001)}
+    assert bodies == [2] * 1000
+    assert len(memo) == 1 + len(loops) + len(bodies)
+
+
+def test_repeat_lookup_of_an_axiom_costs_one_rules_call():
+    # An axiom instance, and a configuration with no rule instance, are
+    # answered by the one `rules` call that opens them, and stored nowhere.
+    cases = [(WHILE, wcfg("x := 1"), (WhileState.of({"x": 1}),)),
+             (PLUGINS["fun"], lang_fun.FVar("x"), ())]
+    for base, g, results in cases:
+        plugin, calls = _counted(base)
+        for depth in (1, 8, 1):
+            calls[0] = 0
+            assert _derive_shared(plugin, g, depth) == (results, False)
+            assert calls[0] == 1
+        assert _memo_entries(plugin) == 0
+        assert kernel._walk(plugin, g, 8)[:2] == plain_derive(base, g, 8)
 
 
 @pytest.mark.parametrize("spec_name", sorted(spec_lib.SPECS))
@@ -727,6 +781,21 @@ def test_star_spec_sets_are_exactly_the_derivable_results():
     assert sset.contains(want)
     assert not sset.contains(WhileState.of({"x": 3}))
     assert sset.sample(B) == [want]
+
+
+def test_star_spec_knows_no_set_where_the_budget_cut_the_derivation():
+    # At depth 3 the countdown from x=5 is cut, so its derivable results
+    # are unknown there: no set, not the empty one.  The loop at x=2
+    # completes at height 3, with the one result `all zero`.
+    b3 = SampleBudget(max_depth=3)
+    star = star_spec(WHILE, b3)
+    g = wcfg("while 0 < x do x := x - 1", {"x": 5})
+    assert star.at(None, g) is UNIVERSE
+    sset = star.at(None, WhileConfig(g.stmt, WhileState.of({"x": 2})))
+    assert sset.sample(b3) == [WhileState.of({"x": 0})]
+    report = check_verif(WHILE, star, [g], b3)
+    assert report.status == PASS and report.counterexamples == []
+    assert report.stats["configs_checked"] == 3
 
 
 def test_star_spec_answers_a_repeat_lookup_from_the_memo():
