@@ -169,11 +169,20 @@ def _corpus(args, plugin, budget) -> list:
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if args.format == "json":
+            print(json.dumps(doc, sort_keys=True, indent=2))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (say `| head -1`): what is left, and the
+        # flush at exit, go to the null device, so no traceback is printed
+        # and the command's own exit code stands.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _base_doc(args, budget) -> dict:

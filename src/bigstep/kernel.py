@@ -145,7 +145,9 @@ class Specification:
 
     `param_domain` is the finite domain of the global parameter; checks
     quantify over it.  Configurations the spec says nothing about map to
-    UNIVERSE.
+    UNIVERSE.  `at`, and the `contains` and `sample` of each set it
+    returns, must be pure functions of their arguments: inference memoizes
+    by configuration within a walk.
     """
 
     param_domain: tuple
@@ -174,16 +176,16 @@ def seeded_rng(seed: int, *key: object) -> random.Random:
 # Derivation memo shared across walks by the checks that look the same
 # configurations up again (`check_valid`, the crosscheck and the `star`
 # spec, through `_derive_shared`); its entries live as long as the process.
-# Every other derivation walk (`derive_all`, so `run` and `derive`,
-# `derive_one` and the harvest) memoizes on a table of its own, dropped
-# when the walk returns; inference keeps no memo.  This table maps (plugin,
-# config), and a walk's own table config alone, to (results, False, height)
-# for each configuration whose frame no depth cut; an answer known when its
-# configuration is opened is kept nowhere (see `_walk`).  Such a derivation
-# answers every budget from its height up, with the same results in the
-# same order.  A lookup below the height derives again and keeps the
-# entry.  A cut answer is kept only by the walk that made it, for the same
-# configuration at the same depth.
+# Every other walk (`derive_all`, so `run` and `derive`, `derive_one`, the
+# harvest, and inference, whose answers depend on the spec and parameter)
+# memoizes on a table of its own, dropped when the walk returns.  This
+# table maps (plugin, config), and a walk's own table config alone, to
+# (results, False, height) for each configuration whose frame no depth
+# cut; an answer known when its configuration is opened is kept nowhere
+# (see `_walk`).  Such an answer holds for every budget from its height
+# up, with the same results in the same order.  A lookup below the height
+# walks again and keeps the entry.  A cut answer is kept only by the walk
+# that made it, for the same configuration at the same depth.
 _DERIVE_CACHE: dict[tuple, tuple[tuple, bool, int]] = {}
 
 _OPEN = object()  # no value yet: the configuration needs a frame
@@ -225,20 +227,24 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
     cut at if it is.  Heights: a configuration with no rule instance has
     height 0, an instance with no premise counts 1, and a frame 1 + the
     largest height of the premises it opened (memo hits at their stored
-    height).  What `results` holds depends on `candidates`:
+    height).
 
-    - None (derivation): a tuple of every result.  `memo` keeps the
-      answer of each frame no depth cut, keyed by (plugin, configuration),
-      and answers a lookup from an entry whose height is within the budget;
-      without one, the walk memoizes on a table of its own, keyed by the
-      configuration alone, and dropped when it returns.  The walk keeps its
-      frames' cut answers in `cut`, keyed by (memo key, depth), until it
-      returns.  A memo hit calls no rules.  An answer known when opened
-      (depth 0, an axiom instance, no rule instance) is stored nowhere:
-      the one `rules` call a hit would save gives it again.
-    - A hook (inference): {result: InferTrace}, with no memo.  A premise
-      takes the (result, None) pairs that `candidates(premise)` lists or,
-      when that is None, every result inferred for it below.
+    One memo rule serves every walk.  `memo` keeps the answer of each
+    frame no depth cut, keyed by (plugin, configuration), and answers a
+    lookup from an entry whose height is within the budget; without one,
+    the walk memoizes on a table of its own, keyed by the configuration
+    alone, and dropped when it returns.  The walk keeps its frames' cut
+    answers in `cut`, keyed by (memo key, depth), until it returns.  A
+    memo hit calls no rules.  An answer known when opened (depth 0, an
+    axiom instance, no rule instance) is stored nowhere: the one `rules`
+    call a hit would save gives it again.  What `results` holds depends
+    on `candidates`:
+
+    - None (derivation): a tuple of every result.
+    - A hook (inference): {result: InferTrace}.  A premise takes the
+      (result, None) pairs that `candidates(premise)` lists or, when that
+      is None, every result inferred for it below.  A memo hit hands on
+      the premise's traces themselves, so traces may share sub-traces.
 
     Under derivation, a tail premise takes no frame: when a frame's only
     work left is a premise whose continuation is `Conclude` itself, and
@@ -257,7 +263,7 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
     """
     rules = plugin.rules
     infer = candidates is not None
-    own = memo is None and not infer
+    own = memo is None
     if own:
         memo = {}
     # The frame being worked on lives in locals: `top` is its (gamma,
@@ -282,15 +288,13 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
     while True:
         # Open `gamma` at `depth`: its value is known at once, or it gets a
         # frame of its own.
-        key = None
+        key = gamma if own else (plugin, gamma)
         value = _OPEN
-        if memo is not None:
-            key = gamma if own else (plugin, gamma)
-            hit = memo.get(key)
-            if hit is not None and hit[2] <= depth:
-                value = hit
-            elif cut:
-                value = cut.get((key, depth), _OPEN)
+        hit = memo.get(key)
+        if hit is not None and hit[2] <= depth:
+            value = hit
+        elif cut:
+            value = cut.get((key, depth), _OPEN)
         if value is _OPEN:
             opened = rules(gamma)
             if depth <= 0 or not opened:
@@ -368,11 +372,10 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
                 break  # open the premise
 
             value = (out if infer else tuple(out), exhausted, height)
-            if memo is not None:
-                if exhausted:
-                    cut[top[2], top[1]] = value
-                else:
-                    memo[top[2]] = value
+            if exhausted:
+                cut[top[2], top[1]] = value
+            else:
+                memo[top[2]] = value
             # Answer the frames this one is the tail premise of, innermost
             # first: the same results, under their own flag and height.
             results, ex, h = value
@@ -461,6 +464,10 @@ def infer_results(plugin, spec, param, gamma, budget):
 
     Returns ({result: InferTrace}, exhausted), results in the order they
     were found; a result reached in several ways keeps its first trace.
+    The walk infers each sub-configuration once, on a memo table of its
+    own, so the traces of a configuration reached again are shared: the
+    traces form a DAG.  Nothing is kept after the walk returns, because
+    an answer depends on the spec and the parameter.
     """
 
     def candidates(premise):
@@ -483,8 +490,12 @@ def replay_trace(plugin: LanguagePlugin,
 
     Sampled premise results are taken at face value; inferred ones are
     replayed, on an explicit stack, before the rule instance takes them.
+    A sub-trace must start at its premise's configuration.  One shared by
+    several premises is replayed once, and each premise compares its
+    result with the one the replay gave.
     """
     stack: list = []  # suspended (trace, rule instance, premise position)
+    replayed: dict = {}  # id(sub-trace) -> its result: traces may be DAGs
     t, pos = trace, 0
     while True:
         if pos == 0:
@@ -496,17 +507,23 @@ def replay_trace(plugin: LanguagePlugin,
             step = t.premises[pos]
             if not isinstance(app, Need) or app.premise != step.config:
                 return None
-            if step.sub is not None:
-                stack.append((t, app, pos))
-                t, pos = step.sub, 0
-                continue
             result = step.result
+            if step.sub is not None:
+                if step.sub.config != step.config:
+                    return None
+                done = replayed.get(id(step.sub), _OPEN)
+                if done is _OPEN:
+                    stack.append((t, app, pos))
+                    t, pos = step.sub, 0
+                    continue
+                if done != result:
+                    return None
         else:
             if not isinstance(app, Conclude):
                 return None
             if not stack:
                 return app.result
-            result = app.result
+            result = replayed[id(t)] = app.result
             t, app, pos = stack.pop()
             if result != t.premises[pos].result:
                 return None
@@ -642,7 +659,7 @@ def _reachable(plugin, corpus, budget) -> list:
     return list(visited)
 
 
-def _targets(plugin, spec, param, corpus, reachable):
+def _targets(spec, param, corpus, reachable):
     """Corpus configs plus harvested sub-configs with a constrained entry."""
     out = []
     for gamma in dict.fromkeys(list(corpus) + reachable):
@@ -666,15 +683,20 @@ def check_verif(plugin, spec, corpus, budget) -> CheckReport:
     """
     corpus = list(corpus)
     return _check_verif(plugin, spec, corpus, budget,
-                        _reachable(plugin, corpus, budget))
+                        _reachable(plugin, corpus, budget))[0]
 
 
-def _check_verif(plugin, spec, corpus, budget, reachable) -> CheckReport:
+def _check_verif(plugin, spec, corpus, budget, reachable):
+    """`check_verif`'s report, and the configurations it checked for each
+    parameter, in domain order."""
     cexs: list = []
     exhausted = False
     checked = inferred_total = 0
+    checked_at: list = []
     for param in spec.param_domain:
-        for gamma, sset in _targets(plugin, spec, param, corpus, reachable):
+        targets = _targets(spec, param, corpus, reachable)
+        checked_at.append([gamma for gamma, _ in targets])
+        for gamma, sset in targets:
             traced, ex = infer_results(plugin, spec, param, gamma, budget)
             exhausted = exhausted or ex
             checked += 1
@@ -685,7 +707,7 @@ def _check_verif(plugin, spec, corpus, budget, reachable) -> CheckReport:
                                                sset.describe, trace))
     stats = {"configs_checked": checked, "results_inferred": inferred_total,
              "depth_hit": exhausted}
-    return _report(cexs, exhausted, stats)
+    return _report(cexs, exhausted, stats), checked_at
 
 
 def check_valid(plugin, spec, corpus, budget) -> CheckReport:
@@ -726,7 +748,7 @@ def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
     """
     corpus = list(corpus)
     reachable = _reachable(plugin, corpus, budget)
-    pre = _check_verif(plugin, spec, corpus, budget, reachable)
+    pre, checked_at = _check_verif(plugin, spec, corpus, budget, reachable)
     if pre.status == FAIL:
         return CheckReport(PRECONDITION_FAILED, pre.counterexamples, pre.stats)
 
@@ -739,9 +761,7 @@ def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
     exhausted = exhausted or valid_rep.stats["depth_hit"]
 
     informed = _derivation_informed(plugin, spec)
-    for param in spec.param_domain:
-        targets = [g for g, _ in _targets(plugin, spec, param, corpus,
-                                          reachable)]
+    for param, targets in zip(spec.param_domain, checked_at):
         seen = set(targets)
         targets = targets + [g for g in corpus if g not in seen]
         for gamma in targets:

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -98,6 +99,52 @@ def test_star_check_of_a_recursion_the_budget_cuts_exits_zero():
         text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith("status: pass")
+
+
+def test_crosscheck_of_naive_fib_takes_well_under_a_second():
+    # Inference memoizes the answers of its frames, as derivation does.
+    # With no memo it inferred `fib (n - 2)` again under `fib (n - 1)`, and
+    # this command took 36 s.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bigstep.__file__)))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bigstep", "crosscheck", "--lang", "fun",
+         "--spec", "mglist", "--depth", "4096", "--config",
+         r"letrec fib = \n. if n < 2 then n else fib (n - 1) + fib (n - 2) "
+         r"in fib 24"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("status: pass")
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("argv, lines", [
+    # A pass report is 318 bytes, written at once, so the reader goes
+    # before the command writes anything.
+    (("check-verif", "--lang", "fun", "--spec", "mglist", "--count", "8",
+      "--format", "json"), 0),
+    # About 100 kB, more than a pipe holds: the write is cut once the
+    # reader has taken its first line.
+    (("derive", "--lang", "fun", "--depth", "1000000", "--format", "json",
+      "--config",
+      r"letrec f = \n. if n < 1 then nil else n :: f (n - 1) in f 10000"),
+     1),
+])
+def test_a_reader_that_closes_early_gets_no_traceback(argv, lines):
+    # As under `bigstep ... | head -1`.  The command printed a
+    # `BrokenPipeError` traceback and exited 1.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bigstep.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "bigstep", *argv],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def test_star_check_of_a_loop_the_budget_cuts_exits_zero(capsys):

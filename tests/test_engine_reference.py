@@ -1,11 +1,12 @@
 """The explicit-stack derivation engine against the recursive walkers it
 replaced, kept here as the reference: same results in the same order, same
 `exhausted` flags, same traces, and the same plugin and spec calls in the
-same order.  The reference derivation memoizes with the engine's entry
+same order.  Both reference walkers memoize with the engine's one entry
 rule (one entry per configuration whose answer took the engine a frame,
-answered from its height up; none for one known when it is opened), on a
-table of its own unless one is shared, and a memo-free definition checks
-the answers of a memo shared across depths and the reachable harvest."""
+answered from its height up; none for one known when it is opened; a cut
+answer kept for its depth only), on a table of their own unless
+derivation is given one to share.  A memo-free definition checks the
+answers of a memo shared across depths and the reachable harvest."""
 
 from dataclasses import replace
 
@@ -115,15 +116,30 @@ def ref_reachable(plugin, corpus, depth):
 
 
 def ref_infer(plugin, spec, param, gamma, budget, depth):
+    """({result: InferTrace}, exhausted) of `gamma` within `depth`, under
+    `spec` at `param`.  Memoized with `ref_derive`'s entry rule, on a
+    table of this call's own: a premise inferred again shares its
+    traces."""
+    return _ref_infer(plugin, spec, param, gamma, budget, depth,
+                      ({}, {}))[:2]
+
+
+def _ref_infer(plugin, spec, param, gamma, budget, depth, memo):
+    hit = memo[0].get(gamma)
+    if hit is None or hit[2] > depth:
+        hit = memo[1].get((gamma, depth))
+    if hit is not None:
+        return hit
     apps = plugin.rules(gamma)
     if depth <= 0:
-        return {}, bool(apps)
+        return {}, bool(apps), 0
 
     out: dict = {}
     exhausted = False
+    height = 1 if apps else 0
 
     def candidates(premise):
-        nonlocal exhausted
+        nonlocal exhausted, height
         sset = spec.at(param, premise)
         if isinstance(sset, Constrained):
             cands, seen = [], set()
@@ -132,8 +148,10 @@ def ref_infer(plugin, spec, param, gamma, budget, depth):
                     seen.add(c)
                     cands.append((c, None))
             return cands
-        sub, ex = ref_infer(plugin, spec, param, premise, budget, depth - 1)
+        sub, ex, h = _ref_infer(plugin, spec, param, premise, budget,
+                                depth - 1, memo)
         exhausted = exhausted or ex
+        height = max(height, h + 1)
         return list(sub.items())
 
     def walk(app, steps, idx):
@@ -149,7 +167,9 @@ def ref_infer(plugin, spec, param, gamma, budget, depth):
 
     for i, app in enumerate(apps):
         walk(app, [], i)
-    return out, exhausted
+    answer = (out, exhausted, depth if exhausted else height)
+    remember(memo, gamma, depth, apps, answer)
+    return answer
 
 
 # ---------------------------------------------------------------------------

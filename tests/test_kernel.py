@@ -436,6 +436,79 @@ def test_inference_is_deterministic_across_calls():
     assert list(a[0].items()) == list(b[0].items()) and a[1] == b[1]
 
 
+FIB = (r"letrec fib = \n. if n < 2 then n else fib (n - 1) + fib (n - 2) "
+       r"in fib %d")
+FIB_BUDGET = SampleBudget(max_depth=4096)
+
+
+def _fib(n):
+    return PLUGINS["fun"].parse_config(FIB % n)
+
+
+def _reject_at(gamma):
+    """A spec that constrains `gamma` alone, to no result: every result
+    inferred there is a counterexample."""
+    none = Constrained(lambda r: False, lambda b: [], "no result")
+    return Specification((None,), lambda param, g: none if g == gamma
+                         else UNIVERSE)
+
+
+def test_inference_on_naive_fib_takes_linear_work_like_derivation():
+    # Inference memoizes the answers of its frames on a table of its own,
+    # as derivation does, so `fib (n - 2)` is inferred once and not again
+    # under `fib (n - 1)`.  With no memo, the `rules` calls doubled about
+    # every step of n, and `crosscheck` of `fib 24` took 36 s.
+    counts = []
+    for n in range(10, 25):
+        derived, derive_calls = _counted(PLUGINS["fun"])
+        inferred, infer_calls = _counted(PLUGINS["fun"])
+        results, _ = derive_all(derived, _fib(n), FIB_BUDGET)
+        traced, _ = infer_results(inferred, trivial_spec(), None, _fib(n),
+                                  FIB_BUDGET)
+        assert list(traced) == list(results)
+        assert infer_calls[0] <= 3 * derive_calls[0], n
+        counts.append(infer_calls[0])
+    steps = {b - a for a, b in zip(counts, counts[1:])}
+    assert len(steps) == 1, counts
+
+
+def test_inference_and_check_verif_on_fib_leave_the_shared_memo_alone():
+    fun, g = PLUGINS["fun"], _fib(20)
+    before = len(kernel._DERIVE_CACHE)
+    assert infer_results(fun, trivial_spec(), None, g, FIB_BUDGET)[0]
+    assert check_verif(fun, _reject_at(g), [g], FIB_BUDGET).status == FAIL
+    assert len(kernel._DERIVE_CACHE) == before
+
+
+def _distinct_traces(trace) -> int:
+    """How many trace objects `trace` holds, each shared one once."""
+    seen: set = set()
+    stack = [trace]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(s.sub for s in t.premises if s.sub is not None)
+    return len(seen)
+
+
+def test_fib_counterexample_shares_its_sub_traces_and_replays_each_once():
+    # The walk's memo hands a premise inferred again the traces it already
+    # has, so the counterexample's trace is a DAG of linear size; replay
+    # and the report visit each of its nodes once, where walking it as a
+    # tree would take exponential time.
+    fun, g = PLUGINS["fun"], _fib(20)
+    report = check_verif(fun, _reject_at(g), [g], FIB_BUDGET)
+    (cx,) = report.counterexamples
+    assert cx.result == lang_fun.FNum(6765)
+    nodes = _distinct_traces(cx.trace)
+    assert nodes < 1000
+    plugin, calls = _counted(fun)
+    assert replay_trace(plugin, cx.trace) == cx.result
+    assert calls[0] <= nodes
+    assert len(report.to_dict(fun)["traces"]) == nodes
+
+
 # ---------------------------------------------------------------------------
 # Trace replay
 # ---------------------------------------------------------------------------
@@ -482,6 +555,25 @@ def test_tampered_premises_do_not_replay():
     for name, premises in tampered.items():
         assert replay_trace(fun, replace(trace, premises=premises)) is None, \
             name
+
+
+def test_a_sub_trace_of_another_configuration_does_not_replay():
+    # `1 + 1`, its first premise `1` claimed to give 3 by a trace of
+    # `2 + 1`: replay took the claim and concluded 4.
+    fun = PLUGINS["fun"]
+
+    def trace_of(text):
+        traced, _ = infer_results(fun, trivial_spec(), None,
+                                  fun.parse_config(text), B)
+        ((result, trace),) = traced.items()
+        return result, trace
+
+    _, trace = trace_of("1 + 1")
+    three, other = trace_of("2 + 1")
+    first, second = trace.premises
+    assert other.config != first.config
+    bad = (replace(first, result=three, sub=other), second)
+    assert replay_trace(fun, replace(trace, premises=bad)) is None
 
 
 # ---------------------------------------------------------------------------
