@@ -43,7 +43,9 @@ class CliError(Exception):
 
 
 def _parse_range(text: str) -> list[int]:
-    """'1..6' -> [1,...,6]; '3' -> [3]; '1,2,5' -> [1,2,5]; never empty."""
+    """'1..6' -> [1,...,6]; '3' -> [3]; '1,2,5' -> [1,2,5]; never empty,
+    and no value given twice: a repeat would check its configurations
+    twice."""
     text = text.strip()
     try:
         if ".." in text:
@@ -55,6 +57,8 @@ def _parse_range(text: str) -> list[int]:
         raise CliError("bad range %r: %s" % (text, exc)) from exc
     if not values:
         raise CliError("empty range %r" % text)
+    if len(set(values)) < len(values):
+        raise CliError("bad range %r: a value is given twice" % text)
     return values
 
 
@@ -109,6 +113,9 @@ def _resolve_spec(args, budget, name) -> Specification:
                            for p in args.param.split(","))
         except ValueError as exc:
             raise CliError("bad --param %r: %s" % (args.param, exc)) from exc
+        if len(set(domain)) < len(domain):
+            raise CliError("bad --param %r: a value is given twice"
+                           % args.param)
         if not set(domain) <= set(spec.param_domain):
             raise CliError("bad --param %r: the domain of %r is %r"
                            % (args.param, name, spec.param_domain))

@@ -632,20 +632,34 @@ class CheckReport:
         }
 
 
-def _report(counterexamples, exhausted, stats) -> CheckReport:
-    if counterexamples:
-        status = FAIL
-    elif exhausted:
-        status = BUDGET_EXHAUSTED
-    else:
-        status = PASS
-    return CheckReport(status, counterexamples, stats)
+def _tally(rows, cexs=(), exhausted=False) -> CheckReport:
+    """The membership check every checker makes, over rows (param, config,
+    candidates, set, exhausted): the candidate results at `config` as
+    (result, trace or None) pairs, the set they must lie in, and whether
+    the budget cut the walk that found them.  Each row is a configuration
+    checked, each candidate a result, each non-member a counterexample, in
+    row order after `cexs`; `exhausted` is a cut found before the rows."""
+    cexs = list(cexs)
+    checked = total = 0
+    for param, gamma, candidates, sset, ex in rows:
+        checked += 1
+        exhausted = exhausted or ex
+        for rho, trace in candidates:
+            total += 1
+            if not sset.contains(rho):
+                cexs.append(Counterexample(param, gamma, rho, sset.describe,
+                                           trace))
+    status = FAIL if cexs else BUDGET_EXHAUSTED if exhausted else PASS
+    return CheckReport(status, cexs, {"configs_checked": checked,
+                                      "results_inferred": total,
+                                      "depth_hit": exhausted})
 
 
-def _reachable(plugin, corpus, budget) -> list:
+def _reachable(plugin, corpus, budget) -> tuple[list, bool]:
     """Configurations touched while deriving the corpus, in visit order:
     those whose rules the walks enumerated (a memo hit enumerates none, and
-    within one walk its configurations were enumerated when it was made)."""
+    within one walk its configurations were enumerated when it was made).
+    And whether the budget cut a walk, so that some may be missing."""
     visited: dict = {}
     rules = plugin.rules
 
@@ -654,24 +668,33 @@ def _reachable(plugin, corpus, budget) -> list:
         return rules(gamma)
 
     harvest = replace(plugin, rules=visit)
-    for gamma in corpus:
-        _walk(harvest, gamma, budget.max_depth)
-    return list(visited)
+    cut = [_walk(harvest, gamma, budget.max_depth)[1] for gamma in corpus]
+    return list(visited), any(cut)
 
 
-def _targets(spec, param, corpus, reachable):
-    """Corpus configs plus harvested sub-configs with a constrained entry."""
-    out = []
-    for gamma in dict.fromkeys(list(corpus) + reachable):
-        sset = spec.at(param, gamma)
-        if isinstance(sset, Constrained):
-            out.append((gamma, sset))
-    return out
+def _targets(plugin, spec, corpus, budget) -> tuple[list, bool]:
+    """For each parameter, in domain order, (param, [(config, set)]): the
+    corpus configs and the harvested ones with a constrained entry.  And
+    whether the budget cut the harvest."""
+    reachable, cut = _reachable(plugin, corpus, budget)
+    configs = dict.fromkeys(corpus + reachable)
+    return [(param, [(gamma, sset) for gamma in configs
+                     if isinstance(sset := spec.at(param, gamma),
+                                   Constrained)])
+            for param in spec.param_domain], cut
 
 
 # ---------------------------------------------------------------------------
 # Checkers
 # ---------------------------------------------------------------------------
+
+def _verif_rows(plugin, spec, targets, budget):
+    """`check_verif`'s rows: the results inferred at each target."""
+    for param, pairs in targets:
+        for gamma, sset in pairs:
+            traced, ex = infer_results(plugin, spec, param, gamma, budget)
+            yield param, gamma, traced.items(), sset, ex
+
 
 def check_verif(plugin, spec, corpus, budget) -> CheckReport:
     """Empirical check of the verification condition.
@@ -679,62 +702,35 @@ def check_verif(plugin, spec, corpus, budget) -> CheckReport:
     For every parameter value and every constrained configuration reachable
     from the corpus, asserts that each inferred result is a member of the
     spec's set there.  A fail is a real violation (counterexamples replay);
-    a pass is evidence within the budget, not proof.
+    a pass is evidence within the budget, not proof.  Where the budget cut
+    the harvest, configurations may have gone unchecked: the depth is hit.
     """
-    corpus = list(corpus)
-    return _check_verif(plugin, spec, corpus, budget,
-                        _reachable(plugin, corpus, budget))[0]
-
-
-def _check_verif(plugin, spec, corpus, budget, reachable):
-    """`check_verif`'s report, and the configurations it checked for each
-    parameter, in domain order."""
-    cexs: list = []
-    exhausted = False
-    checked = inferred_total = 0
-    checked_at: list = []
-    for param in spec.param_domain:
-        targets = _targets(spec, param, corpus, reachable)
-        checked_at.append([gamma for gamma, _ in targets])
-        for gamma, sset in targets:
-            traced, ex = infer_results(plugin, spec, param, gamma, budget)
-            exhausted = exhausted or ex
-            checked += 1
-            inferred_total += len(traced)
-            for rho, trace in traced.items():
-                if not sset.contains(rho):
-                    cexs.append(Counterexample(param, gamma, rho,
-                                               sset.describe, trace))
-    stats = {"configs_checked": checked, "results_inferred": inferred_total,
-             "depth_hit": exhausted}
-    return _report(cexs, exhausted, stats), checked_at
+    targets, cut = _targets(plugin, spec, list(corpus), budget)
+    return _tally(_verif_rows(plugin, spec, targets, budget), exhausted=cut)
 
 
 def check_valid(plugin, spec, corpus, budget) -> CheckReport:
     """Empirical check of validity: derived results are members throughout."""
     corpus = list(corpus)
-    triv = trivial_spec()
-    cexs: list = []
-    exhausted = False
-    checked = derived_total = 0
-    for param in spec.param_domain:
-        for gamma in corpus:
-            results, ex = _derive_shared(plugin, gamma, budget)
-            exhausted = exhausted or ex
-            checked += 1
-            derived_total += len(results)
-            sset = spec.at(param, gamma)
-            bad = [r for r in results if not sset.contains(r)]
-            if bad:
-                # Traces come from inference under the trivial spec, which
-                # coincides with derivation.
-                traced, _ = infer_results(plugin, triv, None, gamma, budget)
-                for r in bad:
-                    cexs.append(Counterexample(param, gamma, r, sset.describe,
-                                               traced.get(r)))
-    stats = {"configs_checked": checked, "results_inferred": derived_total,
-             "depth_hit": exhausted}
-    return _report(cexs, exhausted, stats)
+
+    def rows():
+        for param in spec.param_domain:
+            for gamma in corpus:
+                results, ex = _derive_shared(plugin, gamma, budget)
+                yield (param, gamma, [(r, None) for r in results],
+                       spec.at(param, gamma), ex)
+
+    report = _tally(rows())
+    # Traces come from inference under the trivial spec, which coincides
+    # with derivation: once for each configuration with a bad result.
+    traced: dict = {}
+    for i, cx in enumerate(report.counterexamples):
+        if cx.config not in traced:
+            traced[cx.config] = infer_results(plugin, trivial_spec(), None,
+                                              cx.config, budget)[0]
+        report.counterexamples[i] = replace(
+            cx, trace=traced[cx.config].get(cx.result))
+    return report
 
 
 def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
@@ -747,39 +743,31 @@ def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
     points at an engine bug, not a spec bug.
     """
     corpus = list(corpus)
-    reachable = _reachable(plugin, corpus, budget)
-    pre, checked_at = _check_verif(plugin, spec, corpus, budget, reachable)
+    targets, cut = _targets(plugin, spec, corpus, budget)
+    pre = _tally(_verif_rows(plugin, spec, targets, budget), exhausted=cut)
     if pre.status == FAIL:
         return CheckReport(PRECONDITION_FAILED, pre.counterexamples, pre.stats)
 
-    cexs: list = []
-    exhausted = False
-    checked = 0
-
-    valid_rep = check_valid(plugin, spec, corpus, budget)
-    cexs.extend(valid_rep.counterexamples)
-    exhausted = exhausted or valid_rep.stats["depth_hit"]
-
+    valid = check_valid(plugin, spec, corpus, budget)
     informed = _derivation_informed(plugin, spec)
-    for param, targets in zip(spec.param_domain, checked_at):
-        seen = set(targets)
-        targets = targets + [g for g in corpus if g not in seen]
-        for gamma in targets:
-            derived, ex = _derive_shared(plugin, gamma, budget)
-            exhausted = exhausted or ex
-            checked += 1
-            inferred, _ = infer_results(plugin, informed, param, gamma,
-                                        budget)
-            missing = [r for r in derived if r not in inferred]
-            for r in missing:
-                cexs.append(Counterexample(
-                    param, gamma, r,
+
+    def rows():
+        for param, pairs in targets:
+            configs = dict.fromkeys(gamma for gamma, _ in pairs)
+            for gamma in [*configs, *(g for g in corpus if g not in configs)]:
+                derived, ex = _derive_shared(plugin, gamma, budget)
+                inferred = infer_results(plugin, informed, param, gamma,
+                                         budget)[0]
+                reproduced = Constrained(
+                    inferred.__contains__, lambda b, _i=inferred: list(_i),
                     "reproducible by inference with derivation-informed "
-                    "sampling", None))
-    stats = {"configs_checked": checked,
-             "results_inferred": valid_rep.stats["results_inferred"],
-             "depth_hit": exhausted}
-    return _report(cexs, exhausted, stats)
+                    "sampling")
+                yield (param, gamma, [(r, None) for r in derived],
+                       reproduced, ex)
+
+    report = _tally(rows(), valid.counterexamples, valid.stats["depth_hit"])
+    report.stats["results_inferred"] = valid.stats["results_inferred"]
+    return report
 
 
 def _derivation_informed(plugin, spec) -> Specification:
@@ -829,22 +817,14 @@ def spec_refines(s1: Specification, s2: Specification, corpus,
     """
     if tuple(s1.param_domain) != tuple(s2.param_domain):
         raise ValueError("specifications must share a parameter domain")
-    cexs: list = []
-    checked = sampled_total = 0
-    for param in s1.param_domain:
-        for gamma in corpus:
-            set2 = s2.at(param, gamma)
-            if not isinstance(set2, Constrained):
-                continue
-            set1 = s1.at(param, gamma)
-            checked += 1
-            for c in set2.sample(budget):
-                if not set2.contains(c):
-                    continue
-                sampled_total += 1
-                if not set1.contains(c):
-                    cexs.append(Counterexample(param, gamma, c,
-                                               set1.describe, None))
-    stats = {"configs_checked": checked, "results_inferred": sampled_total,
-             "depth_hit": False}
-    return _report(cexs, False, stats)
+
+    def rows():
+        for param in s1.param_domain:
+            for gamma in corpus:
+                set2 = s2.at(param, gamma)
+                if isinstance(set2, Constrained):
+                    kept = [(c, None) for c in set2.sample(budget)
+                            if set2.contains(c)]
+                    yield param, gamma, kept, s1.at(param, gamma), False
+
+    return _tally(rows())

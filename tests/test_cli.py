@@ -86,10 +86,12 @@ def test_run_and_derive_leave_the_shared_memo_alone(capsys):
     assert len(kernel._DERIVE_CACHE) == before
 
 
-def test_star_check_of_a_recursion_the_budget_cuts_exits_zero():
+def test_star_check_of_a_recursion_the_budget_cuts_exits_four():
     # Both `if` rules derive the condition `f n`, which recurses forever.
     # A harvest that derived it again for the second rule took time
     # doubling every 4 levels of depth (3 s at the default 64, 12 s at 72).
+    # The budget cuts the harvest, so configurations may go unchecked: the
+    # check passed, with exit 0, before the harvest's cut was reported.
     src = os.path.dirname(os.path.dirname(os.path.abspath(bigstep.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "bigstep", "star-check", "--lang", "fun",
@@ -97,8 +99,9 @@ def test_star_check_of_a_recursion_the_budget_cuts_exits_zero():
          "--depth", "200"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.startswith("status: pass")
+    assert proc.returncode == 4, proc.stderr[-2000:]
+    assert proc.stdout.startswith("status: budget_exhausted\n")
+    assert "depth_hit: True\n" in proc.stdout
 
 
 def test_crosscheck_of_naive_fib_takes_well_under_a_second():
@@ -147,17 +150,29 @@ def test_a_reader_that_closes_early_gets_no_traceback(argv, lines):
     assert err == b""
 
 
-def test_star_check_of_a_loop_the_budget_cuts_exits_zero(capsys):
+@pytest.mark.parametrize("argv, corpus, cut, deep", [
     # At depth 3 the derivation from x=5 is cut; the `star` spec knows no
-    # set there, so it checks the loops at x=2..0 only.  It used to take
-    # the cut derivation's empty result set as exact and refute the loop
-    # at x=3 with its actual result `all zero`.
-    code, out, _ = run_cli(capsys, "star-check", "--lang", "while",
-                           "--config", "while 0 < x do x := x - 1",
-                           "--state", "x=5", "--depth", "3")
-    assert code == 0
-    assert out.startswith("status: pass\ncorpus size: 1\n"
-                          "configs_checked: 3\n")
+    # set there, so the loops at x=2..0 are checked and those at x=5..3
+    # are not.  Star-check took the cut derivation's empty result set as
+    # exact and refuted the loop at x=3 with its actual result `all zero`;
+    # then it passed with exit 0.
+    (("star-check", "--lang", "while", "--config",
+      "while 0 < x do x := x - 1", "--state", "x=5"), 1, (3, 3), (11, 11)),
+    # At depth 3 the harvest of the m=6 corpus reaches 5 of its 13
+    # targets, and inference there is not cut: the check passed with exit
+    # 0 and `depth_hit: False`.
+    (("check-verif", "--lang", "while", "--spec", "fac", "--m", "6"), 3,
+     (5, 10), (13, 22)),
+], ids=["star-check-loop", "check-verif-fac"])
+def test_a_check_whose_harvest_the_budget_cuts_exits_four(
+        capsys, argv, corpus, cut, deep):
+    for depth, code, status, hit, (checked, inferred) in (
+            ("3", 4, "budget_exhausted", True, cut),
+            ("64", 0, "pass", False, deep)):
+        assert run_cli(capsys, *argv, "--depth", depth) == (
+            code, "status: %s\ncorpus size: %d\nconfigs_checked: %d\n"
+                  "depth_hit: %s\nresults_inferred: %d\n"
+                  % (status, corpus, checked, hit, inferred), "")
 
 
 def test_parse_error_exits_two(capsys):
@@ -268,6 +283,22 @@ def test_empty_m_range_exits_two(capsys):
                              "--spec", "fac", "--m", "3..1")
     assert code == 2 and out == ""
     assert err.strip() == "error: empty range '3..1'"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--lang", "while", "--spec", "fac", "--m", "2,1,2"),
+     "bad range '2,1,2': a value is given twice"),
+    (("--lang", "extwhile", "--spec", "msort", "--param", "0,0"),
+     "bad --param '0,0': a value is given twice"),
+    (("--lang", "fun", "--spec", "mglist", "--param", "none, none"),
+     "bad --param 'none, none': a value is given twice"),
+], ids=["m", "param", "param-none"])
+def test_a_value_given_twice_exits_two(capsys, argv, message):
+    # `--param 0,0` checked every msort target twice: 54 configurations
+    # against 27.
+    code, out, err = run_cli(capsys, "check-verif", *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == "error: " + message
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -108,11 +108,12 @@ def plain_derive(plugin, gamma, depth, visit=None):
 
 def ref_reachable(plugin, corpus, depth):
     """The configurations a memo-free derivation of the corpus touches, in
-    first-visit order."""
+    first-visit order, and whether the depth cut any of the derivations."""
     visited: dict = {}
+    cut = False
     for gamma in corpus:
-        plain_derive(plugin, gamma, depth, visited.setdefault)
-    return list(visited)
+        cut = plain_derive(plugin, gamma, depth, visited.setdefault)[1] or cut
+    return list(visited), cut
 
 
 def ref_infer(plugin, spec, param, gamma, budget, depth):

@@ -221,8 +221,9 @@ def test_reachable_harvest_grows_linearly_in_the_depth():
     counts = []
     for depth in (24, 32, 40):
         plugin, calls = _counted(fun)
-        assert len(kernel._reachable(plugin, [g],
-                                     SampleBudget(max_depth=depth))) == 10
+        reachable, cut = kernel._reachable(plugin, [g],
+                                           SampleBudget(max_depth=depth))
+        assert len(reachable) == 10 and cut
         counts.append(calls[0])
     assert counts[1] - counts[0] == counts[2] - counts[1] == 16
 
@@ -599,6 +600,31 @@ def test_check_valid_statuses():
                        shallow).status == BUDGET_EXHAUSTED
 
 
+def test_check_valid_traces_each_bad_configuration_once(monkeypatch):
+    # Both parameters refute every result: one trivial-spec inference per
+    # configuration traces the counterexamples of both.
+    inferred = []
+    infer = kernel.infer_results
+
+    def counted(*args):
+        inferred.append(args[3])
+        return infer(*args)
+
+    monkeypatch.setattr(kernel, "infer_results", counted)
+    spec = Specification((0, 1), lambda param, gamma: Constrained(
+        lambda r: False, lambda b: [], "no result"))
+    corpus = fac_corpus([2, 3])
+    report = check_valid(WHILE, spec, corpus, B)
+    assert report.status == FAIL
+    assert [(cx.param, cx.config) for cx in report.counterexamples] == \
+        [(param, gamma) for param in (0, 1) for gamma in corpus]
+    assert inferred == corpus
+    for cx in report.counterexamples:
+        assert replay_trace(WHILE, cx.trace) == cx.result
+    at_0, at_1 = report.counterexamples[:6], report.counterexamples[6:]
+    assert all(a.trace is b.trace for a, b in zip(at_0, at_1))
+
+
 def test_check_valid_finds_every_result_but_the_first_on_choice():
     # Configuration 3 admits only its first derived result.  Its premises
     # 2 and 1 admit any result but sample none, so inference at 3 finds no
@@ -744,6 +770,44 @@ def test_crosscheck_reports_on_bundled_specs_are_pinned(
     assert _digest(report, plugin) == digest
 
 
+_PASSED_ALL_9 = (PASS, (9, 9), "2bf09f6564f7083c")
+
+
+@pytest.mark.parametrize("spec_name,corpus,valid,refines", [
+    pytest.param("fac", lambda: fac_corpus(range(1, 4)), _PASSED_ALL_9,
+                 _PASSED_ALL_9, id="fac"),
+    pytest.param("fac-bad", lambda: fac_corpus(range(1, 4)),
+                 (FAIL, (9, 9), "a666b1c73a97c0bd"),
+                 (FAIL, (9, 9), "47c2cd9e40a87f66"), id="fac-bad"),
+    pytest.param("msort", lambda: msort_corpus(3, 0), _PASSED_ALL_9,
+                 _PASSED_ALL_9, id="msort"),
+    pytest.param("msort-nosort", lambda: msort_corpus(3, 1), _PASSED_ALL_9,
+                 _PASSED_ALL_9, id="msort-nosort"),
+    pytest.param("mglist", lambda: mglist_corpus(3, 0, max_len=4),
+                 (PASS, (3, 3), "485bfccce1de5dd8"),
+                 (PASS, (3, 3), "485bfccce1de5dd8"), id="mglist"),
+    pytest.param("mglist-len", lambda: mglist_corpus(3, 1, max_len=4),
+                 (PASS, (3, 3), "485bfccce1de5dd8"),
+                 (PASS, (3, 3), "485bfccce1de5dd8"), id="mglist-len"),
+])
+def test_validity_and_refinement_reports_on_bundled_specs_are_pinned(
+        spec_name, corpus, valid, refines):
+    # Counts and report bytes of both checkers, as the crosscheck's are.
+    lang, factory = spec_lib.SPECS[spec_name]
+    plugin = PLUGINS[lang]
+    spec = factory()
+    budget = SampleBudget(512, 8, 0)
+    star = star_spec(plugin, budget, param_domain=spec.param_domain)
+    for report, (status, stats, digest) in (
+            (check_valid(plugin, spec, corpus(), budget), valid),
+            (spec_refines(spec, star, corpus(), budget), refines)):
+        assert report.status == status
+        assert report.stats == {"configs_checked": stats[0],
+                                "results_inferred": stats[1],
+                                "depth_hit": False}
+        assert _digest(report, plugin) == digest
+
+
 def test_report_prints_each_node_once():
     printed = []
 
@@ -885,9 +949,13 @@ def test_star_spec_knows_no_set_where_the_budget_cut_the_derivation():
     assert star.at(None, g) is UNIVERSE
     sset = star.at(None, WhileConfig(g.stmt, WhileState.of({"x": 2})))
     assert sset.sample(b3) == [WhileState.of({"x": 0})]
+    # The loops at x=2..0 are checked and pass; those at x=5..3 are not,
+    # so the check reports the cut, not a pass.
     report = check_verif(WHILE, star, [g], b3)
-    assert report.status == PASS and report.counterexamples == []
-    assert report.stats["configs_checked"] == 3
+    assert report.status == BUDGET_EXHAUSTED
+    assert report.counterexamples == []
+    assert report.stats == {"configs_checked": 3, "results_inferred": 3,
+                            "depth_hit": True}
 
 
 def test_star_spec_answers_a_repeat_lookup_from_the_memo():
