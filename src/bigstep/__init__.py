@@ -7,6 +7,7 @@ specifications with replayable counterexample traces.
 """
 
 from .kernel import (
+    BUDGET_CUT,
     BUDGET_EXHAUSTED,
     CheckReport,
     Conclude,
@@ -43,11 +44,12 @@ PLUGINS = {
 }
 
 __all__ = [
-    "BUDGET_EXHAUSTED", "CheckReport", "Conclude", "Constrained",
-    "Counterexample", "FAIL", "InferTrace", "LanguagePlugin", "Need",
-    "PASS", "PRECONDITION_FAILED", "PLUGINS", "PremiseStep", "SampleBudget",
-    "Specification", "UNIVERSE", "check_soundness_crosscheck", "check_valid",
-    "check_verif", "derive_all", "derive_one", "infer_results",
-    "lang_extwhile", "lang_fun", "lang_while", "replay_trace", "seeded_rng",
-    "spec_lib", "spec_refines", "star_spec", "trivial_spec",
+    "BUDGET_CUT", "BUDGET_EXHAUSTED", "CheckReport", "Conclude",
+    "Constrained", "Counterexample", "FAIL", "InferTrace", "LanguagePlugin",
+    "Need", "PASS", "PRECONDITION_FAILED", "PLUGINS", "PremiseStep",
+    "SampleBudget", "Specification", "UNIVERSE",
+    "check_soundness_crosscheck", "check_valid", "check_verif",
+    "derive_all", "derive_one", "infer_results", "lang_extwhile",
+    "lang_fun", "lang_while", "replay_trace", "seeded_rng", "spec_lib",
+    "spec_refines", "star_spec", "trivial_spec",
 ]

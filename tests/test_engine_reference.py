@@ -5,8 +5,11 @@ same order.  Both reference walkers memoize with the engine's one entry
 rule (one entry per configuration whose answer took the engine a frame,
 answered from its height up; none for one known when it is opened; a cut
 answer kept for its depth only), on a table of their own unless
-derivation is given one to share.  A memo-free definition checks the
-answers of a memo shared across depths and the reachable harvest."""
+derivation is given one to share.  Derivation on a table of its own
+stores an answer only from the configuration's second opening, as the
+engine does; on a shared table, and under inference, from the first.  A
+memo-free definition checks the answers of a memo shared across depths
+and the reachable harvest."""
 
 from dataclasses import replace
 
@@ -42,12 +45,16 @@ def ref_derive(plugin, gamma, depth, memo=None):
     entry.  A cut answer is kept only for this call, keyed by configuration
     and depth, and answers only that depth.  An answer the engine knows
     when it opens the configuration (depth 0, an axiom instance, no rule
-    instance) is kept nowhere."""
-    memo = ({} if memo is None else memo, {})
+    instance) is kept nowhere.  On a table of its own, the call keeps a
+    frame's answer only from the configuration's second opening."""
+    memo = ({}, {}, set()) if memo is None else (memo, {}, None)
     return _ref_derive(plugin, gamma, depth, None, memo)[:2]
 
 
 def _ref_derive(plugin, gamma, depth, visit, memo):
+    """`memo` is None, or (table, cut answers, the hashes of the
+    configurations opened a frame for so far, or None where every frame's
+    answer is kept)."""
     if memo is not None:
         hit = memo[0].get(gamma)
         if hit is None or hit[2] > depth:
@@ -59,6 +66,10 @@ def _ref_derive(plugin, gamma, depth, visit, memo):
     apps = plugin.rules(gamma)
     if depth <= 0:
         return ((), bool(apps), 0)
+    keep = memo is not None and takes_frame(apps)
+    if keep and memo[2] is not None:
+        keep = hash(gamma) in memo[2]
+        memo[2].add(hash(gamma))
 
     results: list = []
     seen: set = set()
@@ -83,17 +94,23 @@ def _ref_derive(plugin, gamma, depth, visit, memo):
     for app in apps:
         walk(app)
     out = (tuple(results), exhausted, depth if exhausted else height)
-    if memo is not None:
-        remember(memo, gamma, depth, apps, out)
+    if keep:
+        remember(memo, gamma, depth, out)
     return out
 
 
-def remember(memo, gamma, depth, apps, out):
-    """Store `out` if it took the engine a frame: not for a configuration
-    with no rule instance or with one instance and no premise, whose
-    answer one `rules` call gives again."""
-    if not apps or (len(apps) == 1 and isinstance(apps[0], Conclude)):
-        return
+def takes_frame(apps):
+    """Whether the engine opens a frame for a configuration with rule
+    instances `apps` at a depth above 0: not with no rule instance or with
+    one instance and no premise, whose answer one `rules` call gives
+    again."""
+    return bool(apps) and not (len(apps) == 1
+                               and isinstance(apps[0], Conclude))
+
+
+def remember(memo, gamma, depth, out):
+    """Store `out`: a cut answer for its depth, any other for every budget
+    from its height up."""
     if out[1]:
         memo[1][gamma, depth] = out
     else:
@@ -169,7 +186,8 @@ def _ref_infer(plugin, spec, param, gamma, budget, depth, memo):
     for i, app in enumerate(apps):
         walk(app, [], i)
     answer = (out, exhausted, depth if exhausted else height)
-    remember(memo, gamma, depth, apps, answer)
+    if takes_frame(apps):
+        remember(memo, gamma, depth, answer)
     return answer
 
 

@@ -15,10 +15,11 @@ from hypothesis import given, settings
 
 import bigstep
 from bigstep import PLUGINS, imp_syntax, kernel, lang_fun, spec_lib
-from bigstep.kernel import (BUDGET_EXHAUSTED, UNIVERSE, Conclude,
-                            Constrained, FAIL, LanguagePlugin, Need, PASS,
-                            PRECONDITION_FAILED, PremiseStep, SampleBudget,
-                            Specification, check_soundness_crosscheck,
+from bigstep.kernel import (BUDGET_CUT, BUDGET_EXHAUSTED, UNIVERSE,
+                            Conclude, Constrained, FAIL, LanguagePlugin,
+                            Need, PASS, PRECONDITION_FAILED, PremiseStep,
+                            SampleBudget, Specification,
+                            check_soundness_crosscheck,
                             check_valid, check_verif, derive_all, derive_one,
                             infer_results, replay_trace,
                             seeded_rng, spec_refines, star_spec, trivial_spec)
@@ -278,7 +279,8 @@ def test_walks_with_tail_premises_match_the_reference(lang, depth):
     budget = SampleBudget(max_depth=depth)
     for gamma in random_corpus(lang, 30, 5):
         full = kernel._walk(plugin, gamma, depth)
-        assert full == _ref_derive(plugin, gamma, depth, None, ({}, {}))
+        assert full == _ref_derive(plugin, gamma, depth, None,
+                                    ({}, {}, set()))
         assert full[:2] == derive_all(plugin, gamma, budget) == \
             plain_derive(plugin, gamma, depth)
         assert derive_one(plugin, gamma, budget) == \
@@ -292,19 +294,81 @@ def test_walks_with_tail_premises_match_the_reference(lang, depth):
 def test_tail_chain_members_keep_their_memo_entries():
     # Naive fib calls itself on the same argument many times.  Each call's
     # body ends in a tail premise; were those frames left out of the walk's
-    # memo, the rules calls would grow exponentially in the argument.  They
-    # grow by 19 per unit of n: the values and variables each call opens
+    # memo, the rules calls would grow exponentially in the argument.  The
+    # walk stores a frame's answer from its configuration's second opening,
+    # so each call is derived twice before the memo answers it: the calls
+    # grow by 38 per unit of n, twice the 19 of storing from the first
+    # opening, and stay linear.  The values and variables each call opens
     # take no frame and cost a call each time.
     fun = PLUGINS["fun"]
     src = (r"letrec fib = \n. if n < 2 then n else fib (n - 1) + fib (n - 2)"
            r" in fib %d")
-    for n, result, count in ((15, 610, 291), (25, 75025, 481),
-                             (35, 9227465, 671)):
+    for n, result, count in ((15, 610, 543), (25, 75025, 923),
+                             (35, 9227465, 1303)):
         plugin, calls = _counted(fun)
         g = fun.parse_config(src % n)
         assert derive_all(plugin, g, SampleBudget(max_depth=512)) == (
             (lang_fun.FNum(result),), False)
         assert calls[0] == count
+
+
+def _doubling_rules(k):
+    """Configuration k > 0 needs k - 1 twice and adds the two results;
+    0 is an axiom with result 1.  So k derives 2 ** k."""
+    if k == 0:
+        return [Conclude(1)]
+    return [Need(k - 1, lambda r, _k=k: Need(
+        _k - 1, lambda q, _r=r: Conclude(_r + q)))]
+
+
+DOUBLING = LanguagePlugin("doubling", _doubling_rules, int, str)
+
+
+def test_a_walk_of_its_own_stores_an_answer_from_its_second_opening():
+    # k - 1 is opened twice under k.  Its first opening is derived and not
+    # stored; the second is derived again and stored, so every later
+    # opening is a memo hit: 2n + 3 `rules` calls in all (the axiom 0 is
+    # stored nowhere and costs a call each time it is opened).  Storing
+    # from the first opening made n + 2.  A handed-in table still stores
+    # from the first opening.
+    for n in (2, 5, 20, 100):
+        plugin, calls = _counted(DOUBLING)
+        budget = SampleBudget(max_depth=n + 1)
+        assert derive_all(plugin, n, budget) == ((2 ** n,), False)
+        assert calls[0] == 2 * n + 3
+        calls[0] = 0
+        assert derive_one(plugin, n, budget) == 2 ** n
+        assert calls[0] == 2 * n + 3
+        calls[0] = 0
+        assert kernel._walk(plugin, n, n + 1, {})[:2] == ((2 ** n,), False)
+        assert calls[0] == n + 2
+
+
+def test_a_long_loop_walk_of_its_own_holds_no_memo_entry_per_iteration():
+    # No configuration of a loop comes up twice, so a walk on a table of
+    # its own stores none of them, and its tail chain holds no
+    # configuration per iteration.  Its peak allocation is then at most
+    # half that of the same walk on a handed-in table, which stores every
+    # frame's answer (about 0.3; it was 0.9 when every walk stored).
+    import tracemalloc
+    g = wcfg("s := c ; while 0 < n do (s := s + n ; n := n - 1)",
+             {"c": 7, "n": 5_000})
+    budget = SampleBudget(max_depth=10_010)
+    end = WhileState.of({"c": 7, "n": 0, "s": 12_502_507})
+
+    def peak(walk, expected):
+        tracemalloc.start()
+        try:
+            assert walk() == expected
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    shared = peak(lambda: kernel._walk(WHILE, g, budget.max_depth, {})[:2],
+                  ((end,), False))
+    assert peak(lambda: derive_all(WHILE, g, budget),
+                ((end,), False)) <= shared / 2
+    assert peak(lambda: derive_one(WHILE, g, budget), end) <= shared / 2
 
 
 def test_memo_holds_only_the_answers_of_frames():
@@ -503,7 +567,10 @@ def test_fib_counterexample_shares_its_sub_traces_and_replays_each_once():
     (cx,) = report.counterexamples
     assert cx.result == lang_fun.FNum(6765)
     nodes = _distinct_traces(cx.trace)
-    assert nodes < 1000
+    # Inference stores a frame's answer from its first opening: storing
+    # from the second, as a derivation walk of its own does, would derive
+    # each call twice and make 676 distinct nodes.
+    assert nodes == 386
     plugin, calls = _counted(fun)
     assert replay_trace(plugin, cx.trace) == cx.result
     assert calls[0] <= nodes
@@ -941,12 +1008,16 @@ def test_star_spec_sets_are_exactly_the_derivable_results():
 
 def test_star_spec_knows_no_set_where_the_budget_cut_the_derivation():
     # At depth 3 the countdown from x=5 is cut, so its derivable results
-    # are unknown there: no set, not the empty one.  The loop at x=2
-    # completes at height 3, with the one result `all zero`.
+    # are unknown there: no set, not the empty one, and not the "no
+    # information" of UNIVERSE either.  The loop at x=2 completes at
+    # height 3, with the one result `all zero`.
     b3 = SampleBudget(max_depth=3)
     star = star_spec(WHILE, b3)
     g = wcfg("while 0 < x do x := x - 1", {"x": 5})
-    assert star.at(None, g) is UNIVERSE
+    cut = star.at(None, g)
+    assert cut is BUDGET_CUT and cut is not UNIVERSE
+    assert cut.contains(WhileState.of({"x": 7}))
+    assert cut.describe != UNIVERSE.describe
     sset = star.at(None, WhileConfig(g.stmt, WhileState.of({"x": 2})))
     assert sset.sample(b3) == [WhileState.of({"x": 0})]
     # The loops at x=2..0 are checked and pass; those at x=5..3 are not,
@@ -986,6 +1057,40 @@ def test_spec_refines_star_for_good_spec_but_not_mutant():
     assert spec_refines(spec_fac(), star, corpus, budget).status == PASS
     assert spec_refines(spec_fac_bad(), star, corpus,
                         budget).status == FAIL
+
+
+def test_spec_refines_reports_where_the_budget_cut_the_star_spec():
+    # At depth 3 `star` knows the sets of the short factorial runs only;
+    # where the budget cut, it has no set to sample, so refinement could
+    # not check those configurations and must not pass.  At depth 64 it
+    # checks all 18 and passes.
+    corpus = fac_corpus(range(1, 7))
+    for depth, status, checked, hit in ((3, BUDGET_EXHAUSTED, 5, True),
+                                        (64, PASS, 18, False)):
+        budget = SampleBudget(max_depth=depth)
+        star = star_spec(WHILE, budget, spec_fac().param_domain)
+        report = spec_refines(spec_fac(), star, corpus, budget)
+        assert report.status == status
+        assert report.counterexamples == []
+        assert report.stats == {"configs_checked": checked,
+                                "results_inferred": checked,
+                                "depth_hit": hit}
+
+
+def test_check_verif_reports_where_the_budget_cut_the_star_spec():
+    # A `star` built at depth 3 and checked at depth 64: the harvest is not
+    # cut, but the loop configurations that `star` could not derive are
+    # skipped, so the check must not pass.  Built at depth 64, it checks
+    # all 98 and passes.
+    corpus, budget = fac_corpus(range(1, 7)), SampleBudget(max_depth=64)
+    for depth, status, checked, hit in ((3, BUDGET_EXHAUSTED, 79, True),
+                                        (64, PASS, 98, False)):
+        star = star_spec(WHILE, SampleBudget(max_depth=depth))
+        report = check_verif(WHILE, star, corpus, budget)
+        assert report.status == status
+        assert report.stats == {"configs_checked": checked,
+                                "results_inferred": checked,
+                                "depth_hit": hit}
 
 
 def test_spec_refines_requires_matching_parameter_domains():
