@@ -10,7 +10,7 @@ the grammar reads a keyword-led statement only from a keyword token.
 
 from __future__ import annotations
 
-from .syntax import Node, ParseError, Tokens, hash_once
+from .syntax import Node, ParseError, Tokens, hash_once, int_text
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def parse_whole(t: Tokens) -> Stmt:
 def print_aexp(a: AExp) -> str:
     match a:
         case ANum(v):
-            return str(v)
+            return int_text(v)
         case AName(n):
             return n
         case AIdx(n, ix):
@@ -290,7 +290,7 @@ def print_stmt(s: Stmt) -> str:
         case VarDecl(x):
             return "var %s" % x
         case ArrDecl(x, size):
-            return "array %s[%d]" % (x, size)
+            return "array %s[%s]" % (x, int_text(size))
         case Assign(x, a):
             return "%s := %s" % (x, print_aexp(a))
         case ArrAssign(x, ix, a):

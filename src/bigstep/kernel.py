@@ -184,19 +184,8 @@ def seeded_rng(seed: int, *key: object) -> random.Random:
 # Derivation memo shared across walks by the checks that look the same
 # configurations up again (`check_valid`, the crosscheck and the `star`
 # spec, through `_derive_shared`); its entries live as long as the process.
-# Every other walk (`derive_all`, so `run` and `derive`, `derive_one`, the
-# harvest, and inference, whose answers depend on the spec and parameter)
-# memoizes on a table of its own, dropped when the walk returns.  This
-# table maps (plugin, config), and a walk's own table config alone, to
-# (results, False, height) for each configuration whose frame no depth
-# cut; an answer known when its configuration is opened is kept nowhere
-# (see `_walk`).  This table stores an answer from its configuration's
-# first opening, since it is here to answer later walks; a derivation on
-# a table of its own stores one only from the second opening.  Such an
-# answer holds for every budget from its height up, with the same results
-# in the same order.  A lookup below the height walks again and keeps the
-# entry.  A cut answer is kept only by the walk that made it, for the same
-# configuration at the same depth.
+# It maps (plugin, config) to (results, False, height) by `_walk`'s memo
+# rule; every other walk memoizes on a table of its own.
 _DERIVE_CACHE: dict[tuple, tuple[tuple, bool, int]] = {}
 
 _OPEN = object()  # no value yet: the configuration needs a frame
@@ -241,14 +230,16 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
     height).
 
     One memo rule serves every walk.  `memo` keeps the answer of each
-    frame no depth cut, keyed by (plugin, configuration), and answers a
-    lookup from an entry whose height is within the budget; without one,
+    frame no depth cut, keyed by (plugin, configuration); without one,
     the walk memoizes on a table of its own, keyed by the configuration
-    alone, and dropped when it returns.  The walk keeps its frames' cut
-    answers in `cut`, keyed by (memo key, depth), until it returns.  A
-    memo hit calls no rules.  An answer known when opened (depth 0, an
-    axiom instance, no rule instance) is stored nowhere: the one `rules`
-    call a hit would save gives it again.
+    alone, and dropped when it returns.  An answer holds for every budget
+    from its height up, with the same results in the same order: a lookup
+    within the budget is a hit and calls no rules, and one below the
+    height walks again and keeps the entry.  The walk keeps its frames'
+    cut answers in `cut`, keyed by (memo key, depth), until it returns.
+    An answer known when opened (depth 0, an axiom instance, no rule
+    instance) is stored nowhere: the one `rules` call a hit would save
+    gives it again.
 
     A derivation on a table of its own stores a frame's answer, in the
     table or in `cut`, only from its configuration's second opening: it
@@ -297,20 +288,22 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
     # stores an answer only from its configuration's second opening.
     opened_before = set() if own and not infer else None
     # The frame being worked on lives in locals: `top` is its (gamma, depth,
-    # memo key), the key None where its answer is not stored; its rule
-    # instances `apps` start in order, `nxt` indexing the next one; resume
-    # points they leave go on `agenda`, a LIFO drained before the next
-    # instance starts.  A resume point (need, steps, rule index, candidates,
-    # position) feeds a premise's next candidate to `need.rest`, and the
-    # continuation it returns is worked on at once; `steps` are the
-    # PremiseSteps taken so far (inference only), and candidates are a
-    # premise's results, as (result, sub-trace or None) pairs under
-    # inference.  `height` is the frame's height so far, and its depth once
-    # a premise is cut.  `out` maps each result to its InferTrace
-    # (inference) or None, in first-found order.  `waiting` is the (need,
-    # steps, rule index) of the premise being derived below.  `fwd` lists the
-    # frames whose tail premise this frame is, outermost first, as (height,
-    # exhausted, memo key, depth).  Suspended frames are saved on `stack`.
+    # memo key), the key None where its answer is not stored; its work is
+    # `agenda`, a LIFO of resume points.  A resume point (need, steps, rule
+    # index, candidates, position) feeds a premise's next candidate to
+    # `need.rest`, and the continuation it returns is worked on at once;
+    # `steps` are the PremiseSteps taken so far (inference only), and
+    # candidates are a premise's results, as (result, sub-trace or None)
+    # pairs under inference.  The bottom resume point, put there when the
+    # frame opens, has need None: its candidates are the frame's rule
+    # instances and its position the rule index, so an instance's resume
+    # points are drained before the next instance starts.  `height` is the
+    # frame's height so far, and its depth once a premise is cut.  `out`
+    # maps each result to its InferTrace (inference) or None, in
+    # first-found order.  `waiting` is the (need, steps, rule index) of the
+    # premise being derived below.  `fwd` lists the frames whose tail
+    # premise this frame is, outermost first, as (height, exhausted, memo
+    # key, depth).  Suspended frames are saved on `stack`.
     stack: list = []
     top = None
     fwd: Any = ()
@@ -337,24 +330,21 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
         if value is _OPEN:
             if top is not None:
                 if (not infer and waiting[0].rest is Conclude and not out
-                        and not agenda and nxt >= len(apps)):
+                        and not agenda):
                     # A tail premise: the frame only waits for its answer.
                     if not fwd:
                         fwd = []
                     fwd.append((height, exhausted, top[2], top[1]))
                 else:
-                    # Once all its rule instances have started, a suspended
-                    # frame drops them: they hold closures.
-                    stack.append((top, apps if nxt < len(apps) else (), nxt,
-                                  agenda, out, exhausted, height, waiting,
-                                  fwd))
+                    stack.append((top, agenda, out, exhausted, height,
+                                  waiting, fwd))
                     fwd = ()
             if opened_before is not None:
                 h = hash(gamma)
                 if h not in opened_before:
                     opened_before.add(h)
                     key = None  # a first opening: its answer is not stored
-            top, apps, nxt, agenda = (gamma, depth, key), opened, 0, []
+            top, agenda = (gamma, depth, key), [(None, (), 0, opened, 0)]
             out, exhausted, height = {}, False, 1
 
         while True:
@@ -372,23 +362,20 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
                 value = _OPEN
 
             gamma = None
-            while True:
-                if agenda:
-                    need, steps, idx, cands, pos = agenda.pop()
-                    if pos + 1 < len(cands):
-                        agenda.append((need, steps, idx, cands, pos + 1))
-                    r = cands[pos]
+            while agenda:
+                need, steps, idx, cands, pos = agenda.pop()
+                if pos + 1 < len(cands):
+                    agenda.append((need, steps, idx, cands, pos + 1))
+                r = cands[pos]
+                if need is None:  # the frame's next rule instance
+                    app, idx = r, pos
+                else:
                     if infer:
                         r, sub = r
                         steps += (PremiseStep(need.premise, r, sub),)
                     app = need.rest(r)
                     if app is None:
                         continue
-                elif nxt < len(apps):
-                    app, steps, idx = apps[nxt], (), nxt
-                    nxt += 1
-                else:
-                    break
                 if isinstance(app, Conclude):
                     r = app.result
                     if not infer:
@@ -425,8 +412,7 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
                     else:
                         memo[entry[2]] = value
             if stack:
-                (top, apps, nxt, agenda, out, exhausted, height, waiting,
-                 fwd) = stack.pop()
+                top, agenda, out, exhausted, height, waiting, fwd = stack.pop()
             else:
                 top = None
 
@@ -439,10 +425,8 @@ def derive_all(plugin: LanguagePlugin, gamma: Config, budget: SampleBudget):
     bound, so an empty result with exhausted=False certifies that `gamma`
     has no derivation at all.
 
-    The walk memoizes on a table of its own, storing a sub-configuration's
-    answer from its second opening (see `_walk`), and keeps nothing after
-    it returns: a second call derives again.  `derive_one` runs the same
-    walk.
+    The walk memoizes by `_walk`'s rule on a table of its own, so a
+    second call derives again.
     """
     return _walk(plugin, gamma, budget.max_depth)[:2]
 
@@ -458,9 +442,7 @@ def derive_one(plugin: LanguagePlugin, gamma: Config,
     """The first result of `derive_all`'s walk, or None when that walk
     finds no result (`gamma` is stuck, or the budget cut every derivation).
 
-    It is `derive_all`, results in the same order, memo and all: it holds
-    what the walk's memo stores until the walk returns, as `derive_all`
-    does (a long loop's configurations, each opened once, are not stored).
+    It is `derive_all`'s walk, results in the same order, memo and all.
     """
     results = _walk(plugin, gamma, budget.max_depth)[0]
     return results[0] if results else None
@@ -523,53 +505,60 @@ def infer_results(plugin, spec, param, gamma, budget):
                  candidates=candidates)[:2]
 
 
+def _children_first(root, done):
+    """`root` and the traces its premises name, each distinct one once and
+    after the sub-traces of its premises, from an explicit stack: traces
+    may be DAGs of derivation depth.  `done` is keyed by `id` and holds
+    the traces already given; the caller enters each one it is given
+    before it asks for the next.  A sub-trace whose configuration is not
+    its premise's is not entered: replay rejects its premise, and must
+    not ask the rules of a configuration only a tampered trace names."""
+    stack = [root]
+    while stack:
+        t = stack[-1]
+        if id(t) in done:
+            stack.pop()
+            continue
+        subs = [s.sub for s in t.premises
+                if s.sub is not None and id(s.sub) not in done
+                and s.sub.config == s.config]
+        if subs:
+            stack.extend(reversed(subs))
+            continue
+        stack.pop()
+        yield t
+
+
 def replay_trace(plugin: LanguagePlugin,
                  trace: InferTrace) -> Optional[ResultConfig]:
     """Re-run a trace through the plugin's rules; None if it does not replay.
 
     Sampled premise results are taken at face value; inferred ones are
-    replayed, on an explicit stack, before the rule instance takes them.
-    A sub-trace must start at its premise's configuration.  One shared by
-    several premises is replayed once, and each premise compares its
-    result with the one the replay gave.
+    replayed before the trace that takes them, children first as reports
+    list them, with one `rules` call per distinct trace node.  A sub-trace
+    must start at its premise's configuration, and each premise compares
+    its result with the one its sub-trace's replay gave.
     """
-    stack: list = []  # suspended (trace, rule instance, premise position)
-    replayed: dict = {}  # id(sub-trace) -> its result: traces may be DAGs
-    t, pos = trace, 0
-    while True:
-        if pos == 0:
-            apps = plugin.rules(t.config)
-            if t.rule_index >= len(apps):
-                return None
-            app = apps[t.rule_index]
-        if pos < len(t.premises):
-            step = t.premises[pos]
+    replayed: dict = {}  # id(trace) -> its result: traces may be DAGs
+    for t in _children_first(trace, replayed):
+        apps = plugin.rules(t.config)
+        if t.rule_index >= len(apps):
+            return None
+        app = apps[t.rule_index]
+        for step in t.premises:
             if not isinstance(app, Need) or app.premise != step.config:
                 return None
-            result = step.result
-            if step.sub is not None:
-                if step.sub.config != step.config:
-                    return None
-                done = replayed.get(id(step.sub), _OPEN)
-                if done is _OPEN:
-                    stack.append((t, app, pos))
-                    t, pos = step.sub, 0
-                    continue
-                if done != result:
-                    return None
-        else:
-            if not isinstance(app, Conclude):
+            if step.sub is not None and (
+                    step.sub.config != step.config
+                    or replayed[id(step.sub)] != step.result):
                 return None
-            if not stack:
-                return app.result
-            result = replayed[id(t)] = app.result
-            t, app, pos = stack.pop()
-            if result != t.premises[pos].result:
+            app = app.rest(step.result)
+            if app is None:
                 return None
-        app = app.rest(result)
-        if app is None:
+        if not isinstance(app, Conclude):
             return None
-        pos += 1
+        replayed[id(t)] = app.result
+    return replayed[id(trace)]
 
 
 # ---------------------------------------------------------------------------
@@ -628,20 +617,7 @@ class CheckReport:
             return i
 
         def trace(root):
-            # Children before parents, from an explicit stack: a trace is
-            # added once the traces of all its premises are.
-            stack = [root]
-            while stack:
-                t = stack[-1]
-                if id(t) in trace_ids:
-                    stack.pop()
-                    continue
-                subs = [s.sub for s in t.premises
-                        if s.sub is not None and id(s.sub) not in trace_ids]
-                if subs:
-                    stack.extend(reversed(subs))
-                    continue
-                stack.pop()
+            for t in _children_first(root, trace_ids):
                 premises = [[term(s.config), term(s.result),
                              None if s.sub is None else trace_ids[id(s.sub)]]
                             for s in t.premises]

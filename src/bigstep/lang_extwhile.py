@@ -20,7 +20,8 @@ from .imp_syntax import (ABin, AExp, AIdx, AName, ANum, ArrAssign, ArrDecl,
                          Skip, Stmt, VarDecl, While, parse_seq, parse_whole,
                          print_config, print_stmt)
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import Node, ParseError, Tokens, hash_once, sorted_put
+from .syntax import (Node, ParseError, Tokens, hash_once, int_text,
+                     sorted_put)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +93,10 @@ class ExtState(Node):
         return ExtState(self.names, self.heap, nextloc)
 
     def __str__(self):
-        parts = ["%s=%d" % (k, v) for k, v in self.names]
-        parts += ["[%d]=%d" % (k, v) for k, v in self.heap]
-        parts.append("nextloc=%d" % self.nextloc)
+        parts = ["%s=%s" % (k, int_text(v)) for k, v in self.names]
+        parts += ["[%s]=%s" % (int_text(k), int_text(v))
+                  for k, v in self.heap]
+        parts.append("nextloc=" + int_text(self.nextloc))
         return ", ".join(parts)
 
 
@@ -334,7 +336,7 @@ def parse_state(src: str) -> ExtState:
 
     def put(location, value):
         if location in heap:
-            raise ParseError("[%d] is given twice" % location)
+            raise ParseError("[%s] is given twice" % int_text(location))
         heap[location] = value
 
     if src:
@@ -372,8 +374,8 @@ def parse_state(src: str) -> ExtState:
         t.expect_end()
     nextloc = base if explicit_nextloc is None else explicit_nextloc
     if nextloc < base:
-        raise ParseError("nextloc=%d is below the arrays' %d cells"
-                         % (nextloc, base))
+        raise ParseError("nextloc=%s is below the arrays' %d cells"
+                         % (int_text(nextloc), base))
     return ExtState.of(names, heap, nextloc)
 
 

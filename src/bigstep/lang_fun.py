@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import Node, ParseError, Tokens, hash_once
+from .syntax import Node, ParseError, Tokens, hash_once, int_text
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +461,7 @@ def print_expr(e: FExpr, texts=None) -> str:
             return text
     match e:
         case FNum(v):
-            return str(v)
+            return int_text(v)
         case FBool(v):
             return "true" if v else "false"
         case FBin(op, l, r):

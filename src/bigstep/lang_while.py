@@ -15,7 +15,8 @@ from .imp_syntax import (ABin, AExp, AName, ANum, Assign, BAnd, BBool, BCmp,
                          BExp, BNot, If, Seq, Skip, Stmt, While, parse_whole,
                          print_config, print_stmt)
 from .kernel import Conclude, LanguagePlugin, Need
-from .syntax import Node, ParseError, Tokens, hash_once, sorted_put
+from .syntax import (Node, ParseError, Tokens, hash_once, int_text,
+                     sorted_put)
 
 AVar = AName  # a variable read; While has no arrays
 
@@ -46,7 +47,7 @@ class WhileState(Node):
     def __str__(self):
         if not self.bindings:
             return "all zero"
-        return ", ".join("%s=%d" % (k, v) for k, v in self.bindings)
+        return ", ".join("%s=%s" % (k, int_text(v)) for k, v in self.bindings)
 
 
 @hash_once

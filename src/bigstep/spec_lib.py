@@ -30,6 +30,7 @@ from . import lang_fun as fn
 from . import lang_while as wh
 from .kernel import (Constrained, SampleBudget, Specification, UNIVERSE,
                      derive_one, seeded_rng)
+from .syntax import int_text
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def _fac_spec(final_fac_of_m) -> Specification:
                 sample=lambda b, _s=s, _w=want: _cap(
                     [run_loop(_s.set("fac", _s.get("m"))).set("fac", _w),
                      _s.set("fac", _w)], b),
-                describe="final states with fac = %d" % want,
+                describe="final states with fac = " + int_text(want),
             )
         if gamma.stmt == W_FAC and s.get("m") > 0:
             m, fac = s.get("m"), s.get("fac")
@@ -164,7 +165,7 @@ def _fac_spec(final_fac_of_m) -> Specification:
                 and rho.get("fac") == _w,
                 sample=lambda b, _s=s, _w=want: _cap(
                     [run_loop(_s), _s.set("fac", _w)], b),
-                describe="loop exits with fac = %d" % want,
+                describe="loop exits with fac = " + int_text(want),
             )
         return UNIVERSE
 

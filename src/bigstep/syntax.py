@@ -193,6 +193,17 @@ def sorted_put(pairs: tuple, key, value, drop_zero: bool = False) -> tuple:
     return pairs[:i] + new + pairs[j:]
 
 
+def int_text(v: int) -> str:
+    """`str(v)`, also for an int with more digits than CPython's limit on
+    int-string conversion (`sys.get_int_max_str_digits`), past which `str`
+    raises ValueError: a `Decimal` made from an int prints it exactly."""
+    try:
+        return str(v)
+    except ValueError:
+        from decimal import Decimal  # imported only when needed
+        return str(Decimal(v))
+
+
 class ParseError(Exception):
     def __init__(self, message, pos=None):
         super().__init__(message if pos is None
@@ -269,7 +280,12 @@ class Tokens:
         if self.peek_kind() != "int":
             raise ParseError("expected integer, found %r" % self.peek(),
                              self.pos())
-        v = int(self.next())
+        text = self.next()
+        try:
+            v = int(text)
+        except ValueError:  # more digits than `int` reads: see `int_text`
+            from decimal import Decimal
+            v = int(Decimal(text))
         return -v if neg else v
 
     def items(self, item, *ends) -> list:

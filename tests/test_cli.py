@@ -10,6 +10,8 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from math import factorial
 
 import pytest
 
@@ -102,6 +104,23 @@ def test_star_check_of_a_recursion_the_budget_cuts_exits_four():
     assert proc.returncode == 4, proc.stderr[-2000:]
     assert proc.stdout.startswith("status: budget_exhausted\n")
     assert "depth_hit: True\n" in proc.stdout
+
+
+def test_run_prints_a_factorial_of_more_digits_than_str_prints():
+    # 2000! has 5,736 digits, past CPython's default limit of 4,300 on
+    # int-string conversion: the derivation succeeded, then printing the
+    # state raised ValueError and the command exited 1.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bigstep.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bigstep", "run", "--lang", "while",
+         "--config", "fac := m ; while 1 < m do (m := m - 1 ; fac := fac * m)",
+         "--state", "m=2000", "--depth", "100000"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    fac, _, m = proc.stdout.strip().partition(", ")
+    assert fac.startswith("fac=") and m == "m=1"
+    assert Decimal(fac[len("fac="):]) == factorial(2000)
 
 
 def test_crosscheck_of_naive_fib_takes_well_under_a_second():

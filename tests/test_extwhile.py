@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from bigstep.imp_syntax import print_stmt
 from bigstep.kernel import Conclude, Need, SampleBudget, derive_one
 from bigstep.lang_extwhile import (LEXICON, PLUGIN, ABin, AIdx, AName, ANum,
                                    ArrAssign, ArrDecl, Assign, BAnd, BCmp,
@@ -19,6 +20,11 @@ from bigstep.lang_extwhile import (LEXICON, PLUGIN, ABin, AIdx, AName, ANum,
 from bigstep.spec_lib import (MERGE_FUNCTIONS_SRC, MERGE_PROGRAM,
                               merge_call_config)
 from bigstep.syntax import ParseError
+
+# An integer of 5,001 digits: past CPython's default limit of 4,300 on
+# int-string conversion, where `str` and `int` raise ValueError.
+BIG = 10 ** 5000 + 7
+BIG_TEXT = "1" + "0" * 4999 + "7"
 
 B = SampleBudget(max_depth=4096, max_samples=4, seed=0)
 EMPTY = ExtProgram()
@@ -299,6 +305,23 @@ def test_printed_state_with_arrays_parses_back():
     # arrays its callee allocated, and the caller's nextloc.
     assert str(parse_state("[-2]=1, [5]=3, nextloc=1")) == \
         "[-2]=1, [5]=3, nextloc=1"
+
+
+def test_integers_of_any_length_print_and_parse_back():
+    state = ExtState.of({"x": -BIG}, {BIG: BIG}, BIG)
+    text = "x=-%s, [%s]=%s, nextloc=%s" % ((BIG_TEXT,) * 4)
+    assert str(state) == text
+    assert parse_state(text) == state
+    # The parse errors that print a location or `nextloc` print it too.
+    with pytest.raises(ParseError, match="given twice"):
+        parse_state("[%s]=1, [%s]=2" % (BIG_TEXT, BIG_TEXT))
+    with pytest.raises(ParseError, match="is below"):
+        parse_state("S=[1], nextloc=-" + BIG_TEXT)
+    stmt = parse_stmt("array A[%s] ; A[%s] := %s" % ((BIG_TEXT,) * 3))
+    assert stmt == Seq(ArrDecl("A", BIG),
+                       ArrAssign("A", ANum(BIG), ANum(BIG)))
+    assert print_stmt(stmt) == "array A[%s] ; A[%s] := %s" % (
+        (BIG_TEXT,) * 3)
 
 
 _STATE_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}",

@@ -350,6 +350,18 @@ def test_parse_print_round_trip():
     assert ev(e) == FNum(3)
 
 
+def test_integers_of_any_length_print_and_parse_back():
+    # 5,001 digits: past CPython's default limit of 4,300 on int-string
+    # conversion, where `str` and `int` raise ValueError.
+    big, text = 10 ** 5000 + 7, "1" + "0" * 4999 + "7"
+    e = parse_expr("%s :: (0 - %s) :: nil" % (text, text))
+    assert e == FCons(FNum(big), FCons(FBin("-", FNum(0), FNum(big)),
+                                       FNil()))
+    assert print_expr(e) == "(%s :: ((0 - %s) :: nil))" % (text, text)
+    assert print_expr(ev(FBin("+", FNum(big), FNum(big)))) == \
+        "2" + "0" * 4998 + "14"
+
+
 def test_at_most_sugar_and_conjunction_print_and_parse_back():
     # `a <= b` is sugar for `not (b < a)`; `and` prints in parentheses.
     e = parse_expr("if 1 <= x and not (x = 3) then 1 else 2")

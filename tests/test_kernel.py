@@ -573,8 +573,35 @@ def test_fib_counterexample_shares_its_sub_traces_and_replays_each_once():
     assert nodes == 386
     plugin, calls = _counted(fun)
     assert replay_trace(plugin, cx.trace) == cx.result
-    assert calls[0] <= nodes
+    assert calls[0] == nodes == 386
     assert len(report.to_dict(fun)["traces"]) == nodes
+
+
+def _logged(plugin):
+    """A copy of the plugin that lists the configurations it is asked for
+    the rules of, in call order."""
+    log: list = []
+
+    def rules(gamma):
+        log.append(gamma)
+        return plugin.rules(gamma)
+
+    return replace(plugin, rules=rules), log
+
+
+def test_replay_takes_trace_nodes_in_the_order_reports_list_them():
+    # Both walk a trace children first, each distinct node once: the
+    # configurations of a report's `traces` table are those replay asks
+    # the rules of, in the same order.
+    fun, g = PLUGINS["fun"], _fib(8)
+    report = check_verif(fun, _reject_at(g), [g], FIB_BUDGET)
+    (cx,) = report.counterexamples
+    plugin, log = _logged(fun)
+    assert replay_trace(plugin, cx.trace) == cx.result
+    doc = report.to_dict(fun)
+    assert [doc["terms"][t["config"]] for t in doc["traces"]] == \
+        [fun.pretty(c) for c in log]
+    assert len(log) > 20
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +669,25 @@ def test_a_sub_trace_of_another_configuration_does_not_replay():
     assert other.config != first.config
     bad = (replace(first, result=three, sub=other), second)
     assert replay_trace(fun, replace(trace, premises=bad)) is None
+
+
+def test_a_sub_trace_of_another_configuration_is_not_replayed():
+    # Replay goes children first, yet it never asks for the rules of a
+    # configuration that only a misplaced sub-trace names.
+    fun = PLUGINS["fun"]
+    traced, _ = infer_results(fun, trivial_spec(), None,
+                              fun.parse_config("1 + 1"), B)
+    (trace,) = traced.values()
+    traced, _ = infer_results(fun, trivial_spec(), None,
+                              fun.parse_config("2 + 1"), B)
+    ((three, other),) = traced.items()
+    first, second = trace.premises
+    bad = replace(trace, premises=(replace(first, result=three, sub=other),
+                                   second))
+    plugin, log = _logged(fun)
+    assert replay_trace(plugin, bad) is None
+    assert log and other.config not in log
+    assert fun.parse_config("2") not in log
 
 
 # ---------------------------------------------------------------------------

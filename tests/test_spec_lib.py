@@ -4,6 +4,8 @@ and end-to-end verification of the shipped specs and their broken variants."""
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -94,6 +96,17 @@ def test_fac_spec_entries_guarded_by_positive_m():
     assert isinstance(spec.at(None, good), Constrained)
     zero = fac_corpus([0])[0]
     assert spec.at(None, zero) is UNIVERSE
+
+
+def test_fac_describes_a_factorial_of_more_digits_than_str_prints():
+    # 1559! has 4,316 digits, past CPython's default limit of 4,300 on
+    # int-string conversion: `%d` raised ValueError, and `check-verif
+    # --spec fac --m 1559` exited 1 with a traceback.
+    program, loop, _ = fac_corpus([1559])
+    for gamma, entry in ((program, "final states"), (loop, "loop exits")):
+        text = spec_fac().at(None, gamma).describe
+        assert text.startswith(entry + " with fac = ")
+        assert Decimal(text.rpartition(" ")[2]) == factorial(1559)
 
 
 def test_fac_samplers_satisfy_their_own_sets():

@@ -16,6 +16,11 @@ from bigstep.syntax import ParseError
 S = WhileState.of
 B = SampleBudget(max_depth=64, max_samples=4, seed=0)
 
+# An integer of 5,001 digits: past CPython's default limit of 4,300 on
+# int-string conversion, where `str` and `int` raise ValueError.
+BIG = 10 ** 5000 + 7
+BIG_TEXT = "1" + "0" * 4999 + "7"
+
 
 def run(stmt, state):
     return derive_one(PLUGIN, WhileConfig(stmt, state), B)
@@ -120,6 +125,15 @@ def test_parse_config_round_trip():
     reparsed = parse_config(PLUGIN.pretty(cfg).strip("<>").replace(" | ",
                                                                    " || "))
     assert reparsed == cfg
+
+
+def test_integers_of_any_length_print_and_parse_back():
+    state = S({"x": BIG, "y": -BIG})
+    assert str(state) == "x=%s, y=-%s" % (BIG_TEXT, BIG_TEXT)
+    assert parse_config("skip || " + str(state)).state == state
+    stmt = parse_stmt("x := %s - y" % BIG_TEXT)
+    assert stmt == Assign("x", ABin("-", ANum(BIG), AVar("y")))
+    assert print_stmt(stmt) == "x := (%s - y)" % BIG_TEXT
 
 
 def test_parse_state_rejects_a_name_given_twice():
