@@ -82,9 +82,6 @@ class LanguagePlugin:
     printer may use the entry of any subterm instead of printing it again,
     with the same output.  It may also enter a subterm it printed, with the
     text `pretty` gives that subterm; it changes no entry.
-    Plugins compare and hash by identity: the shared derivation memo is
-    keyed by the plugin object, so two plugins sharing a name never share
-    results.
     """
 
     name: str
@@ -181,12 +178,10 @@ def seeded_rng(seed: int, *key: object) -> random.Random:
 # The derivation engine
 # ---------------------------------------------------------------------------
 
-# Derivation memo shared across walks by the checks that look the same
-# configurations up again (`check_valid`, the crosscheck and the `star`
-# spec, through `_derive_shared`); its entries live as long as the process.
-# It maps (plugin, config) to (results, False, height) by `_walk`'s memo
-# rule; every other walk memoizes on a table of its own.
-_DERIVE_CACHE: dict[tuple, tuple[tuple, bool, int]] = {}
+# Every derivation memo belongs to one walk, one check or one `star` spec.
+# This empty tuple is kept only for `perfbench/worker.py`, which reports its
+# length as `kernel.memo_entries` (ROADMAP item 1).
+_DERIVE_CACHE = ()
 
 _OPEN = object()  # no value yet: the configuration needs a frame
 
@@ -230,16 +225,17 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
     height).
 
     One memo rule serves every walk.  `memo` keeps the answer of each
-    frame no depth cut, keyed by (plugin, configuration); without one,
-    the walk memoizes on a table of its own, keyed by the configuration
-    alone, and dropped when it returns.  An answer holds for every budget
-    from its height up, with the same results in the same order: a lookup
-    within the budget is a hit and calls no rules, and one below the
-    height walks again and keeps the entry.  The walk keeps its frames'
-    cut answers in `cut`, keyed by (memo key, depth), until it returns.
-    An answer known when opened (depth 0, an axiom instance, no rule
-    instance) is stored nowhere: the one `rules` call a hit would save
-    gives it again.
+    frame no depth cut, keyed by configuration: it is a check's table (or
+    the `star` spec's), handed to each of its walks, so it serves one
+    plugin and is dropped with the check.  Without one, the walk memoizes
+    on a table of its own, dropped when it returns.  An answer holds for
+    every budget from its height up, with the same results in the same
+    order: a lookup within the budget is a hit and calls no rules, and one
+    below the height walks again and keeps the entry.  The walk keeps its
+    frames' cut answers in `cut`, keyed by (configuration, depth), until
+    it returns.  An answer known when opened (depth 0, an axiom instance,
+    no rule instance) is stored nowhere: the one `rules` call a hit would
+    save gives it again.
 
     A derivation on a table of its own stores a frame's answer, in the
     table or in `cut`, only from its configuration's second opening: it
@@ -250,11 +246,11 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
     most once more than if its first answer were stored, so no cost grows
     by more than a factor of 2.  (Two configurations with one hash only
     make the second store sooner.)  Two kinds of walk store from the first
-    opening.  A handed-in table exists to answer later walks: the
-    second-opening rule there raised the metatheory benchmark's `rules`
-    calls by 83%.  Inference's answers are traces, which reports list once
-    per object: under the second-opening rule the traces of a naive
-    `fib 20` grow from 386 distinct nodes to 676.
+    opening.  A handed-in table exists to answer the check's later walks:
+    the second-opening rule there raised the metatheory benchmark's
+    `rules` calls by 83%.  Inference's answers are traces, which reports
+    list once per object: under the second-opening rule the traces of a
+    naive `fib 20` grow from 386 distinct nodes to 676.
 
     What `results` holds depends on `candidates`:
 
@@ -281,12 +277,11 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
     """
     rules = plugin.rules
     infer = candidates is not None
-    own = memo is None
-    if own:
-        memo = {}
     # The hashes of the configurations this walk opened a frame for, if it
     # stores an answer only from its configuration's second opening.
-    opened_before = set() if own and not infer else None
+    opened_before = set() if memo is None and not infer else None
+    if memo is None:
+        memo = {}
     # The frame being worked on lives in locals: `top` is its (gamma, depth,
     # memo key), the key None where its answer is not stored; its work is
     # `agenda`, a LIFO of resume points.  A resume point (need, steps, rule
@@ -311,13 +306,12 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
     while True:
         # Open `gamma` at `depth`: its value is known at once, or it gets a
         # frame of its own.
-        key = gamma if own else (plugin, gamma)
         value = _OPEN
-        hit = memo.get(key)
+        hit = memo.get(gamma)
         if hit is not None and hit[2] <= depth:
             value = hit
         elif cut:
-            value = cut.get((key, depth), _OPEN)
+            value = cut.get((gamma, depth), _OPEN)
         if value is _OPEN:
             opened = rules(gamma)
             if depth <= 0 or not opened:
@@ -339,6 +333,7 @@ def _walk(plugin, gamma, depth, memo=None, candidates=None):
                     stack.append((top, agenda, out, exhausted, height,
                                   waiting, fwd))
                     fwd = ()
+            key = gamma
             if opened_before is not None:
                 h = hash(gamma)
                 if h not in opened_before:
@@ -431,12 +426,6 @@ def derive_all(plugin: LanguagePlugin, gamma: Config, budget: SampleBudget):
     return _walk(plugin, gamma, budget.max_depth)[:2]
 
 
-def _derive_shared(plugin, gamma, budget):
-    """`derive_all` on the process-wide memo (`_DERIVE_CACHE`), for the
-    checks that look the same configurations up again across walks."""
-    return _walk(plugin, gamma, budget.max_depth, _DERIVE_CACHE)[:2]
-
-
 def derive_one(plugin: LanguagePlugin, gamma: Config,
                budget: SampleBudget) -> Optional[ResultConfig]:
     """The first result of `derive_all`'s walk, or None when that walk
@@ -505,14 +494,15 @@ def infer_results(plugin, spec, param, gamma, budget):
                  candidates=candidates)[:2]
 
 
-def _children_first(root, done):
+def _children_first(root, done, replaying=False):
     """`root` and the traces its premises name, each distinct one once and
     after the sub-traces of its premises, from an explicit stack: traces
     may be DAGs of derivation depth.  `done` is keyed by `id` and holds
     the traces already given; the caller enters each one it is given
-    before it asks for the next.  A sub-trace whose configuration is not
-    its premise's is not entered: replay rejects its premise, and must
-    not ask the rules of a configuration only a tampered trace names."""
+    before it asks for the next.  When `replaying`, a sub-trace whose
+    configuration is not its premise's is not entered: replay rejects its
+    premise, and must not ask the rules of a configuration only a
+    tampered trace names."""
     stack = [root]
     while stack:
         t = stack[-1]
@@ -521,7 +511,7 @@ def _children_first(root, done):
             continue
         subs = [s.sub for s in t.premises
                 if s.sub is not None and id(s.sub) not in done
-                and s.sub.config == s.config]
+                and not (replaying and s.sub.config != s.config)]
         if subs:
             stack.extend(reversed(subs))
             continue
@@ -540,7 +530,7 @@ def replay_trace(plugin: LanguagePlugin,
     its result with the one its sub-trace's replay gave.
     """
     replayed: dict = {}  # id(trace) -> its result: traces may be DAGs
-    for t in _children_first(trace, replayed):
+    for t in _children_first(trace, replayed, replaying=True):
         apps = plugin.rules(t.config)
         if t.rule_index >= len(apps):
             return None
@@ -670,10 +660,11 @@ def _tally(rows, cexs=(), exhausted=False) -> CheckReport:
                                       "depth_hit": exhausted})
 
 
-def _reachable(plugin, corpus, budget) -> tuple[list, bool]:
-    """Configurations touched while deriving the corpus, in visit order:
-    those whose rules the walks enumerated (a memo hit enumerates none, and
-    within one walk its configurations were enumerated when it was made).
+def _reachable(plugin, corpus, budget, memo) -> tuple[list, bool]:
+    """Configurations touched while deriving the corpus on the check's
+    table `memo`, in visit order: those whose rules the walks enumerated.
+    A memo hit enumerates none, and within one check its configurations
+    were enumerated when it was made: the harvest is a check's first walk.
     And whether the budget cut a walk, so that some may be missing."""
     visited: dict = {}
     rules = plugin.rules
@@ -683,16 +674,17 @@ def _reachable(plugin, corpus, budget) -> tuple[list, bool]:
         return rules(gamma)
 
     harvest = replace(plugin, rules=visit)
-    cut = [_walk(harvest, gamma, budget.max_depth)[1] for gamma in corpus]
+    cut = [_walk(harvest, gamma, budget.max_depth, memo)[1]
+           for gamma in corpus]
     return list(visited), any(cut)
 
 
-def _targets(plugin, spec, corpus, budget) -> tuple[list, bool]:
+def _targets(plugin, spec, corpus, budget, memo) -> tuple[list, bool]:
     """For each parameter, in domain order, (param, [(config, set)]): the
     corpus configs and the harvested ones with a constrained entry.  And
     whether a budget cut the harvest or the spec (BUDGET_CUT) at one of
     them, so that some may go unchecked."""
-    reachable, cut = _reachable(plugin, corpus, budget)
+    reachable, cut = _reachable(plugin, corpus, budget, memo)
     configs = dict.fromkeys(corpus + reachable)
     targets = []
     for param in spec.param_domain:
@@ -728,18 +720,22 @@ def check_verif(plugin, spec, corpus, budget) -> CheckReport:
     the harvest, or the spec answers BUDGET_CUT at a configuration it
     reached, configurations may have gone unchecked: the depth is hit.
     """
-    targets, cut = _targets(plugin, spec, list(corpus), budget)
+    targets, cut = _targets(plugin, spec, list(corpus), budget, {})
     return _tally(_verif_rows(plugin, spec, targets, budget), exhausted=cut)
 
 
 def check_valid(plugin, spec, corpus, budget) -> CheckReport:
     """Empirical check of validity: derived results are members throughout."""
-    corpus = list(corpus)
+    return _check_valid(plugin, spec, list(corpus), budget, {})
+
+
+def _check_valid(plugin, spec, corpus, budget, memo) -> CheckReport:
+    """`check_valid`, its derivations on the check's table `memo`."""
 
     def rows():
         for param in spec.param_domain:
             for gamma in corpus:
-                results, ex = _derive_shared(plugin, gamma, budget)
+                results, ex = _walk(plugin, gamma, budget.max_depth, memo)[:2]
                 yield (param, gamma, [(r, None) for r in results],
                        spec.at(param, gamma), ex)
 
@@ -765,20 +761,20 @@ def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
     samples the derived results (`_derivation_informed`).  A failure here
     points at an engine bug, not a spec bug.
     """
-    corpus = list(corpus)
-    targets, cut = _targets(plugin, spec, corpus, budget)
+    corpus, memo = list(corpus), {}
+    targets, cut = _targets(plugin, spec, corpus, budget, memo)
     pre = _tally(_verif_rows(plugin, spec, targets, budget), exhausted=cut)
     if pre.status == FAIL:
         return CheckReport(PRECONDITION_FAILED, pre.counterexamples, pre.stats)
 
-    valid = check_valid(plugin, spec, corpus, budget)
-    informed = _derivation_informed(plugin, spec)
+    valid = _check_valid(plugin, spec, corpus, budget, memo)
+    informed = _derivation_informed(plugin, spec, memo)
 
     def rows():
         for param, pairs in targets:
             configs = dict.fromkeys(gamma for gamma, _ in pairs)
             for gamma in [*configs, *(g for g in corpus if g not in configs)]:
-                derived, ex = _derive_shared(plugin, gamma, budget)
+                derived, ex = _walk(plugin, gamma, budget.max_depth, memo)[:2]
                 inferred = infer_results(plugin, informed, param, gamma,
                                          budget)[0]
                 reproduced = Constrained(
@@ -793,17 +789,18 @@ def check_soundness_crosscheck(plugin, spec, corpus, budget) -> CheckReport:
     return report
 
 
-def _derivation_informed(plugin, spec) -> Specification:
+def _derivation_informed(plugin, spec, memo) -> Specification:
     """`spec` whose constrained sets sample, after the spec's candidates,
-    the configuration's derived results; `contains` is the spec's, so the
-    membership filter still applies to both."""
+    the configuration's derived results, derived on the check's table
+    `memo`; `contains` is the spec's, so the membership filter still
+    applies to both."""
 
     def at(param, gamma):
         sset = spec.at(param, gamma)
         if not isinstance(sset, Constrained):
             return sset
         return Constrained(sset.contains, lambda b: [
-            *sset.sample(b), *_derive_shared(plugin, gamma, b)[0]],
+            *sset.sample(b), *_walk(plugin, gamma, b.max_depth, memo)[0]],
             sset.describe)
 
     return Specification(spec.param_domain, at)
@@ -815,10 +812,12 @@ def star_spec(plugin, budget, param_domain=(None,)) -> Specification:
     Maps every configuration to its derivable results at the budget's
     depth, or to BUDGET_CUT where the budget cut them.  The parameter is
     ignored; `param_domain` lets it be compared with parameterized specs.
+    Its lookups derive on one table of its own, dropped with the spec.
     """
+    memo: dict = {}
 
     def at(param, gamma):
-        results, cut = _derive_shared(plugin, gamma, budget)
+        results, cut = _walk(plugin, gamma, budget.max_depth, memo)[:2]
         if cut:
             return BUDGET_CUT
         members = frozenset(results)

@@ -70,22 +70,29 @@ def test_run_forty_thousand_iteration_loop_exits_zero(capsys):
     assert doc["status"] == "result" and len(doc["results"]) == 1
 
 
-def test_run_and_derive_leave_the_shared_memo_alone(capsys):
-    # A one-shot derivation memoizes on a table of its own and drops it.
+def test_run_and_derive_leave_no_table_in_the_kernel_module(capsys):
+    # A one-shot derivation memoizes on a table of its own and drops it,
+    # and a check on a table of its own: the kernel keeps no dict, list or
+    # set at module scope, before or after a command.
     kernel = bigstep.kernel
-    before = len(kernel._DERIVE_CACHE)
+
+    def tables():
+        return sorted(name for name, value in vars(kernel).items()
+                      if not name.startswith("__")
+                      and isinstance(value, (dict, list, set)))
+
+    assert tables() == []
     for command in ("run", "derive"):
         code, out, _ = run_cli(capsys, command, "--lang", "while",
                                "--config", "while 0 < x do x := x - 1",
                                "--state", "x=10000", "--depth", "20010")
         assert (code, out.strip()) == (0, "all zero")
-        assert len(kernel._DERIVE_CACHE) == before
     plugin = bigstep.PLUGINS["while"]
     g = plugin.parse_config("x := 10000 ; while 0 < x do x := x - 1")
     results, exhausted = kernel.derive_all(
         plugin, g, kernel.SampleBudget(max_depth=20010))
     assert len(results) == 1 and not exhausted
-    assert len(kernel._DERIVE_CACHE) == before
+    assert tables() == []
 
 
 def test_star_check_of_a_recursion_the_budget_cuts_exits_four():

@@ -196,7 +196,7 @@ def _ref_infer(plugin, spec, param, gamma, budget, depth, memo):
 # ---------------------------------------------------------------------------
 
 def logged(plugin, log):
-    """A fresh plugin object (so a fresh memo) that logs rules and rest.
+    """A copy of the plugin that logs rules and rest.
 
     A continuation that is `Conclude` itself stays unwrapped and unlogged,
     so the engine still takes its tail premises without a frame."""
@@ -338,7 +338,7 @@ def test_engine_matches_recursive_walkers_on_nondeterministic_rules(n, depth):
     same_inference(CHOICE, trivial_spec(), None, n, budget)
     same_inference(CHOICE, spec_choice_odd_sampled(), None, n, budget)
     same_inference(CHOICE, _derivation_informed(
-        CHOICE, spec_choice_odd_sampled()), None, n, budget)
+        CHOICE, spec_choice_odd_sampled(), {}), None, n, budget)
 
 
 DEPTH_RUNS = st.lists(st.integers(0, 24), min_size=1, max_size=6)
@@ -364,8 +364,8 @@ def test_shared_memo_answers_every_depth_on_nondeterministic_rules(
 def test_reachable_harvest_matches_the_memo_free_harvest(lang, seed, depth):
     plugin = PLUGINS[lang]
     corpus = random_corpus(lang, 3, seed)
-    assert _reachable(plugin, corpus, SampleBudget(max_depth=depth)) == \
-        ref_reachable(plugin, corpus, depth)
+    assert _reachable(plugin, corpus, SampleBudget(max_depth=depth),
+                      {}) == ref_reachable(plugin, corpus, depth)
 
 
 def spec_loops_unsampled():
@@ -395,7 +395,7 @@ def test_engine_matches_recursive_walkers_on_bundled_specs():
     for lang, factory, corpus, depth in _spec_cases():
         plugin, spec = PLUGINS[lang], factory()
         budget = SampleBudget(max_depth=depth, max_samples=8, seed=0)
-        informed = _derivation_informed(plugin, spec)
+        informed = _derivation_informed(plugin, spec, {})
         for gamma in corpus:
             same_derivations(plugin, gamma, budget)
             for param in spec.param_domain[:3]:

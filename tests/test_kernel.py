@@ -111,8 +111,8 @@ def test_plugins_sharing_a_name_never_share_memoized_results():
 
 
 def _counted(plugin=WHILE):
-    """A copy of the plugin (while by default), so memo entries of its own,
-    that counts its `rules` calls."""
+    """A copy of the plugin (while by default) that counts its `rules`
+    calls."""
     calls = [0]
 
     def rules(gamma):
@@ -120,15 +120,6 @@ def _counted(plugin=WHILE):
         return plugin.rules(gamma)
 
     return replace(plugin, rules=rules), calls
-
-
-def _memo_entries(plugin):
-    return sum(1 for key in kernel._DERIVE_CACHE if key[0] is plugin)
-
-
-def _derive_shared(plugin, g, depth):
-    """A derivation on the memo that checks share across walks."""
-    return kernel._derive_shared(plugin, g, SampleBudget(max_depth=depth))
 
 
 def test_memo_entry_answers_from_its_height_up():
@@ -139,24 +130,25 @@ def test_memo_entry_answers_from_its_height_up():
     plugin, calls = _counted()
     g = wcfg("while 0 < x do x := x - 1", {"x": 10})
     done = ((WhileState.of({}),), False)
+    memo: dict = {}
 
     def at(depth):
-        return _derive_shared(plugin, g, depth)
+        return kernel._walk(plugin, g, depth, memo)[:2]
 
     assert at(22) == done
-    assert _memo_entries(plugin) == 10
+    assert len(memo) == 10
     assert at(10) == ((), True)
     # The cut call left the complete entries in place: they still answer.
     calls[0] = 0
     assert at(22) == done
     assert at(11) == done
     assert calls[0] == 0
-    assert _memo_entries(plugin) == 10
+    assert len(memo) == 10
     calls[0] = 0
     for depth in (16, 20, 33):
         assert at(depth) == done
     assert calls[0] == 0
-    assert _memo_entries(plugin) == 10
+    assert len(memo) == 10
 
 
 def test_cut_derivation_stores_only_what_it_completed():
@@ -167,27 +159,29 @@ def test_cut_derivation_stores_only_what_it_completed():
     # opened, and the budget cuts every loop configuration.
     plugin, calls = _counted()
     g = wcfg("while 0 < x do (x := x - 1 ; skip)", {"x": 10})
+    memo: dict = {}
+
+    def at(depth):
+        return kernel._walk(plugin, g, depth, memo)[:2]
 
     def stored():
         """The x of each stored configuration, each of them a body."""
-        keys = [key[1] for key in kernel._DERIVE_CACHE if key[0] is plugin]
-        assert all(isinstance(gamma.stmt, Seq) for gamma in keys)
-        return sorted(gamma.state.get("x") for gamma in keys)
+        assert all(isinstance(gamma.stmt, Seq) for gamma in memo)
+        return sorted(gamma.state.get("x") for gamma in memo)
 
-    assert _derive_shared(plugin, g, 8) == ((), True)
+    assert at(8) == ((), True)
     assert calls[0] == 27
     assert stored() == list(range(5, 11))
     # A repeat call derives the cut configurations again (7 loops, the body
     # at x=4 and its assignment) and reads the completed bodies.
     calls[0] = 0
-    assert _derive_shared(plugin, g, 8) == ((), True)
+    assert at(8) == ((), True)
     assert calls[0] == 9
     assert stored() == list(range(5, 11))
     # The loop at x=k has height k + 2: 10 loops and 10 bodies are stored.
-    assert _derive_shared(plugin, g, 11) == ((), True)
-    assert _derive_shared(plugin, g, 12) == (
-        (WhileState.of({}),), False)
-    assert _memo_entries(plugin) == 20
+    assert at(11) == ((), True)
+    assert at(12) == ((WhileState.of({}),), False)
+    assert len(memo) == 20
 
 
 def test_cut_premise_is_derived_once_per_depth_within_a_walk():
@@ -202,17 +196,19 @@ def test_cut_premise_is_derived_once_per_depth_within_a_walk():
     counts = []
     for depth in (24, 32, 40):
         plugin, calls = _counted(fun)
-        assert _derive_shared(plugin, g, depth) == ((), True)
+        memo: dict = {}
+        assert kernel._walk(plugin, g, depth, memo)[:2] == ((), True)
         # Nothing that took a frame completes; the values evaluated on the
         # way are axiom instances, stored nowhere.
-        assert _memo_entries(plugin) == 0
+        assert memo == {}
         counts.append(calls[0])
     assert counts[1] - counts[0] == counts[2] - counts[1] == 16
 
 
 def test_reachable_harvest_grows_linearly_in_the_depth():
-    # The harvest memoizes on its walk's own table, cut answers included,
-    # so the condition both `if` rules derive at one depth is derived once.
+    # The harvest memoizes on the check's table, and each walk keeps its
+    # cut answers, so the condition both `if` rules derive at one depth is
+    # derived once.
     # A harvest that derived it again per rule doubled its work every few
     # levels of depth (6,652 `rules` calls at depth 40).  The values on the
     # way, which take no frame, cost a call each time they are opened: 16
@@ -222,8 +218,8 @@ def test_reachable_harvest_grows_linearly_in_the_depth():
     counts = []
     for depth in (24, 32, 40):
         plugin, calls = _counted(fun)
-        reachable, cut = kernel._reachable(plugin, [g],
-                                           SampleBudget(max_depth=depth))
+        reachable, cut = kernel._reachable(
+            plugin, [g], SampleBudget(max_depth=depth), {})
         assert len(reachable) == 10 and cut
         counts.append(calls[0])
     assert counts[1] - counts[0] == counts[2] - counts[1] == 16
@@ -231,17 +227,14 @@ def test_reachable_harvest_grows_linearly_in_the_depth():
 
 def test_derive_all_keeps_no_memo_entry_after_it_returns():
     # The walk's own table answers repeats within the call; a second call
-    # derives again and the shared memo never sees either.
+    # derives again.
     plugin, calls = _counted()
     g = wcfg("while 0 < x do x := x - 1", {"x": 10})
     done = ((WhileState.of({}),), False)
-    before = len(kernel._DERIVE_CACHE)
     assert derive_all(plugin, g, SampleBudget(max_depth=22)) == done
     assert calls[0] == 21
     assert derive_all(plugin, g, SampleBudget(max_depth=22)) == done
     assert calls[0] == 42
-    assert _memo_entries(plugin) == 0
-    assert len(kernel._DERIVE_CACHE) == before
 
 
 def test_tail_chain_answers_every_frame_it_forwards():
@@ -254,16 +247,17 @@ def test_tail_chain_answers_every_frame_it_forwards():
     plugin, calls = _counted()
     g = wcfg("s := 0 ; while 0 < x do x := x - 1", {"x": 10})
     done = ((WhileState.of({"s": 0}),), False)
-    assert _derive_shared(plugin, g, 12) == done
-    assert _memo_entries(plugin) == 11
+    memo: dict = {}
+    assert kernel._walk(plugin, g, 12, memo)[:2] == done
+    assert len(memo) == 11
     heights = {gamma.state.get("x"): entry[2]
-               for (p, gamma), entry in kernel._DERIVE_CACHE.items()
-               if p is plugin and isinstance(gamma.stmt, While)}
+               for gamma, entry in memo.items()
+               if isinstance(gamma.stmt, While)}
     assert heights == {k: k + 1 for k in range(1, 11)}
-    assert _derive_shared(plugin, g, 11) == ((), True)
-    assert _memo_entries(plugin) == 11
+    assert kernel._walk(plugin, g, 11, memo)[:2] == ((), True)
+    assert len(memo) == 11
     calls[0] = 0
-    assert _derive_shared(plugin, g, 12) == done
+    assert kernel._walk(plugin, g, 12, memo)[:2] == done
     assert calls[0] == 0
 
 
@@ -274,7 +268,8 @@ def test_walks_with_tail_premises_match_the_reference(lang, depth):
     # these walks take the tail path.  Their answers, heights included, and
     # every stored entry are the recursive reference walkers', which store
     # the answers of frames only.
-    plugin = replace(PLUGINS[lang])
+    plugin = PLUGINS[lang]
+    memo: dict = {}
     ref_memo: dict = {}
     budget = SampleBudget(max_depth=depth)
     for gamma in random_corpus(lang, 30, 5):
@@ -285,10 +280,9 @@ def test_walks_with_tail_premises_match_the_reference(lang, depth):
             plain_derive(plugin, gamma, depth)
         assert derive_one(plugin, gamma, budget) == \
             (full[0][0] if full[0] else None)
-        assert kernel._derive_shared(plugin, gamma, budget) == \
+        assert kernel._walk(plugin, gamma, depth, memo)[:2] == \
             ref_derive(plugin, gamma, depth, memo=ref_memo)
-    assert {key[1]: entry for key, entry in kernel._DERIVE_CACHE.items()
-            if key[0] is plugin} == ref_memo
+    assert memo == ref_memo
 
 
 def test_tail_chain_members_keep_their_memo_entries():
@@ -383,10 +377,10 @@ def test_memo_holds_only_the_answers_of_frames():
     assert full == _ref_derive(WHILE, g, 2000, None, None)
     assert full == ((WhileState.of({"c": 7, "n": 0, "s": 500507}),),
                     False, 1003)
-    assert not any(isinstance(gamma.stmt, Assign) for _, gamma in memo)
-    loops = {gamma.state.get("n"): entry[2] for (_, gamma), entry
+    assert not any(isinstance(gamma.stmt, Assign) for gamma in memo)
+    loops = {gamma.state.get("n"): entry[2] for gamma, entry
              in memo.items() if isinstance(gamma.stmt, While)}
-    bodies = [entry[2] for (_, gamma), entry in memo.items()
+    bodies = [entry[2] for gamma, entry in memo.items()
               if isinstance(gamma.stmt, Seq) and gamma != g]
     assert loops == {n: n + 2 for n in range(1, 1001)}
     assert bodies == [2] * 1000
@@ -400,36 +394,39 @@ def test_repeat_lookup_of_an_axiom_costs_one_rules_call():
              (PLUGINS["fun"], lang_fun.FVar("x"), ())]
     for base, g, results in cases:
         plugin, calls = _counted(base)
+        memo: dict = {}
         for depth in (1, 8, 1):
             calls[0] = 0
-            assert _derive_shared(plugin, g, depth) == (results, False)
+            assert kernel._walk(plugin, g, depth, memo)[:2] == (results,
+                                                                 False)
             assert calls[0] == 1
-        assert _memo_entries(plugin) == 0
+        assert memo == {}
         assert kernel._walk(plugin, g, 8)[:2] == plain_derive(base, g, 8)
 
 
 @pytest.mark.parametrize("spec_name", sorted(spec_lib.SPECS))
 def test_check_verif_leaves_the_derivation_memo_alone(spec_name):
-    # Neither the reachable-configuration harvest, `derive_one` nor
-    # inference reads or writes the shared memo, so verification's memory
-    # does not grow with it.  A copy of the plugin has no memo entries of
-    # its own.
+    # The harvest derives on the check's own table, and `derive_one` and
+    # inference on tables of their own, each dropped when it returns: no
+    # walk reads what another stored, so a repeat check makes the same
+    # `rules` calls as the first.
     lang, factory = spec_lib.SPECS[spec_name]
-    plugin, spec = replace(PLUGINS[lang]), factory()
+    (plugin, log), spec = _logged(PLUGINS[lang]), factory()
     corpus = {"while": lambda: fac_corpus(range(1, 5)),
               "extwhile": lambda: msort_corpus(3, 0),
               "fun": lambda: mglist_corpus(3, 0)}[lang]()
     budget = SampleBudget(max_depth=512, max_samples=4, seed=0)
-    before = len(kernel._DERIVE_CACHE)
     report = check_verif(plugin, spec, corpus, budget)
     assert report.stats["configs_checked"] > 0
+    first = log[:]
     for gamma in corpus:
         assert derive_one(plugin, gamma, budget) is not None
         assert infer_results(plugin, trivial_spec(), None, gamma, budget)[0]
         for param in spec.param_domain:
             infer_results(plugin, spec, param, gamma, budget)
-    assert _memo_entries(plugin) == 0
-    assert len(kernel._DERIVE_CACHE) == before
+    log.clear()
+    assert check_verif(plugin, spec, corpus, budget).stats == report.stats
+    assert log == first
 
 
 def test_budget_rejects_negative_fields():
@@ -538,11 +535,19 @@ def test_inference_on_naive_fib_takes_linear_work_like_derivation():
 
 
 def test_inference_and_check_verif_on_fib_leave_the_shared_memo_alone():
-    fun, g = PLUGINS["fun"], _fib(20)
-    before = len(kernel._DERIVE_CACHE)
-    assert infer_results(fun, trivial_spec(), None, g, FIB_BUDGET)[0]
-    assert check_verif(fun, _reject_at(g), [g], FIB_BUDGET).status == FAIL
-    assert len(kernel._DERIVE_CACHE) == before
+    # Each keeps its tables to itself: run twice, each makes the same
+    # `rules` calls both times.
+    (fun, log), g = _logged(PLUGINS["fun"]), _fib(20)
+    logs = []
+    for _ in range(2):
+        log.clear()
+        assert infer_results(fun, trivial_spec(), None, g, FIB_BUDGET)[0]
+        logs.append(log[:])
+        log.clear()
+        assert check_verif(fun, _reject_at(g), [g], FIB_BUDGET).status == FAIL
+        logs.append(log[:])
+    assert logs[0] and logs[1]
+    assert logs[:2] == logs[2:]
 
 
 def _distinct_traces(trace) -> int:
@@ -671,9 +676,9 @@ def test_a_sub_trace_of_another_configuration_does_not_replay():
     assert replay_trace(fun, replace(trace, premises=bad)) is None
 
 
-def test_a_sub_trace_of_another_configuration_is_not_replayed():
-    # Replay goes children first, yet it never asks for the rules of a
-    # configuration that only a misplaced sub-trace names.
+def _misplaced_sub_trace():
+    """The trace of `1 + 1` with its first premise given the trace of
+    `2 + 1`, and that sub-trace."""
     fun = PLUGINS["fun"]
     traced, _ = infer_results(fun, trivial_spec(), None,
                               fun.parse_config("1 + 1"), B)
@@ -684,10 +689,39 @@ def test_a_sub_trace_of_another_configuration_is_not_replayed():
     first, second = trace.premises
     bad = replace(trace, premises=(replace(first, result=three, sub=other),
                                    second))
+    return bad, other
+
+
+def test_a_sub_trace_of_another_configuration_is_not_replayed():
+    # Replay goes children first, yet it never asks for the rules of a
+    # configuration that only a misplaced sub-trace names.
+    fun = PLUGINS["fun"]
+    bad, other = _misplaced_sub_trace()
     plugin, log = _logged(fun)
     assert replay_trace(plugin, bad) is None
     assert log and other.config not in log
     assert fun.parse_config("2") not in log
+
+
+def test_a_report_lists_a_sub_trace_of_another_configuration_as_given():
+    # `to_dict` skipped the misplaced sub-trace, as replay does, and then
+    # raised KeyError on the premise that names it.
+    fun = PLUGINS["fun"]
+    bad, other = _misplaced_sub_trace()
+    cx = kernel.Counterexample(None, bad.config, bad.result, "none", bad)
+    doc = kernel.CheckReport(FAIL, [cx], {}).to_dict(fun)
+    traces, terms = doc["traces"], doc["terms"]
+    root = traces[doc["counterexamples"][0]["trace"]]
+    assert root is traces[-1]
+    (config, result, sub), _ = root["premises"]
+    assert (terms[config], terms[result]) == ("1", "3")
+    assert (terms[traces[sub]["config"]], terms[traces[sub]["result"]]) == \
+        (fun.pretty(other.config), "3")
+    for i, t in enumerate(traces):
+        assert all(p[2] is None or p[2] < i for p in t["premises"])
+    plugin, log = _logged(fun)
+    assert replay_trace(plugin, bad) is None
+    assert other.config not in log
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +874,24 @@ def test_crosscheck_harvests_the_reachable_set_once(monkeypatch):
     assert bad.stats == {"configs_checked": 17, "results_inferred": 25,
                          "depth_hit": False}
     assert _digest(bad) == "eda24705d0b0596e"
+
+
+@pytest.mark.parametrize("check", [check_valid, check_soundness_crosscheck])
+def test_a_repeated_check_makes_the_same_rules_calls(check):
+    # Each check derives on a table of its own, dropped when it returns,
+    # so a second identical check in the same process reads nothing the
+    # first stored.
+    plugin, log = _logged(WHILE)
+    budget = SampleBudget(64, 16, 0)
+    corpus = fac_corpus(range(1, 5))
+    reports, logs = [], []
+    for _ in range(2):
+        log.clear()
+        reports.append(check(plugin, spec_fac(), corpus, budget))
+        logs.append(log[:])
+    assert reports[0].status == PASS
+    assert reports[0].stats == reports[1].stats
+    assert logs[0] and logs[0] == logs[1]
 
 
 def test_crosscheck_samples_derived_results_at_constrained_premises():
@@ -1085,6 +1137,24 @@ def test_star_spec_answers_a_repeat_lookup_from_the_memo():
     again = star.at(None, g)
     assert calls[0] == 0
     assert again.sample(B) == first.sample(B) == [WhileState.of({"x": 2})]
+
+
+def test_a_second_star_spec_shares_nothing_with_the_first():
+    # A `star` spec derives on a table of its own, dropped with it: its
+    # repeat lookups make no `rules` call, and another spec's first
+    # lookups make every call again.
+    plugin, log = _logged(WHILE)
+    g = wcfg("x := 3 ; while 0 < x do x := x - 1")
+    star = star_spec(plugin, B)
+    first = star.at(None, g)
+    calls = log[:]
+    assert calls
+    log.clear()
+    assert star.at(None, g).sample(B) == first.sample(B)
+    assert log == []
+    other = star_spec(plugin, B)
+    assert other.at(None, g).sample(B) == first.sample(B)
+    assert log == calls
 
 
 def test_star_spec_passes_verification_on_loop_free_programs():
