@@ -295,6 +295,9 @@ def print_stmt(s: Stmt) -> str:
             return "%s := %s" % (x, print_aexp(a))
         case ArrAssign(x, ix, a):
             return "%s[%s] := %s" % (x, print_aexp(ix), print_aexp(a))
+        case Seq(Seq() as a, b):
+            # `;` groups to the right, so a leading sequence is bracketed.
+            return "(%s) ; %s" % (print_stmt(a), print_stmt(b))
         case Seq(a, b):
             return "%s ; %s" % (print_stmt(a), print_stmt(b))
         case If(b, a, c):

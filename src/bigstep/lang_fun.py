@@ -120,6 +120,7 @@ class FLetRec(FNode):
 
 FExpr = (FNum | FBool | FBin | FNot | FAnd | FIf | FNil | FCons | FListCase
          | FVar | FApp | FLam | FLetRec)
+_FORMS = frozenset(FExpr.__args__)  # a set test is faster than isinstance
 
 
 def is_canonical(e: FExpr) -> bool:
@@ -163,33 +164,23 @@ def occurrences(e: FExpr) -> frozenset:
     occ = e._occ
     if occ is not None:
         return occ
-    # Nodes are final classes: an exact-class test per form, the most
-    # frequent first, matches what a class pattern would.
+    # Nodes are final classes: an exact-class test per binder matches
+    # what a class pattern would.  Any other form unions its subterms'.
     cls = type(e)
     if cls is FVar:
         occ = frozenset((e.name,))
-    elif cls is FApp:
-        occ = _union(occurrences(e.func), occurrences(e.arg))
-    elif cls is FNum or cls is FNil or cls is FBool:
-        occ = _NO_OCC
     elif cls is FLam:
         occ = _without(occurrences(e.body), e.var)
-    elif cls is FBin or cls is FAnd:
-        occ = _union(occurrences(e.left), occurrences(e.right))
-    elif cls is FCons:
-        occ = _union(occurrences(e.head), occurrences(e.tail))
-    elif cls is FListCase:
-        occ = _union(_union(occurrences(e.scrutinee),
-                            occurrences(e.on_nil)), occurrences(e.on_cons))
-    elif cls is FIf:
-        occ = _union(_union(occurrences(e.cond), occurrences(e.then)),
-                     occurrences(e.orelse))
     elif cls is FLetRec:
         # The bound lambda is entered even when `v` is the variable.
         occ = _union(occurrences(e.bound),
                      _without(occurrences(e.body), e.var))
-    elif cls is FNot:
-        occ = occurrences(e.arg)
+    elif cls in _FORMS:
+        occ = _NO_OCC
+        for name in cls.__match_args__:
+            sub = getattr(e, name)
+            if isinstance(sub, FNode):
+                occ = _union(occ, occurrences(sub))
     else:
         raise ValueError("bad expression: %r" % (e,))
     _set_occ(e, occ)

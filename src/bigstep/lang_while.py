@@ -143,7 +143,7 @@ def parse_stmt(src: str) -> Stmt:
 
 def parse_state(src: str) -> WhileState:
     src = src.strip()
-    if not src:
+    if src in ("", "all zero"):  # `str` prints the empty state as the latter
         return WhileState()
     t = _toks(src)
     d = {}

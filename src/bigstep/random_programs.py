@@ -41,11 +41,7 @@ def _grammar(lexicon) -> tuple:
 _WHILE = _grammar(wh.LEXICON)
 _EXTWHILE = _grammar(ew.LEXICON)
 
-_INC_PROGRAM = ew.ExtProgram((
-    ("inc", ew.Func(("a",), ("r",),
-                    imp.Assign("r", imp.ABin("+", imp.AName("a"),
-                                             imp.ANum(1))))),
-))
+_INC_PROGRAM = ew.parse_functions("fun inc(a) returns (r) { r := a + 1 }")
 
 
 def _aexp(rng: random.Random, depth: int, tokens: frozenset,

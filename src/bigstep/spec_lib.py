@@ -208,16 +208,14 @@ TAIL_J_SRC = ("while j <= n do "
 MERGE_BODY_SRC = ("var j ; var k ; j := m + 1 ; k := i ; "
                   + W_MG_SRC + " ; " + TAIL_I_SRC + " ; " + TAIL_J_SRC)
 
-MERGE_BODY = ew.parse_stmt(MERGE_BODY_SRC)
+MERGE_FUNCTIONS_SRC = ("fun merge(S, T, i, m, n) returns () { "
+                       + MERGE_BODY_SRC + " }")
+MERGE_PROGRAM = ew.parse_functions(MERGE_FUNCTIONS_SRC)
+MERGE_BODY = MERGE_PROGRAM.lookup("merge").body
 # The body's own loops, so `at` finds them by identity, not a tree walk.
 _LOOPS = MERGE_BODY.second.second.second.second
 W_MG, TAIL_I, TAIL_J = (_LOOPS.first, _LOOPS.second.first,
                         _LOOPS.second.second)
-MERGE_PROGRAM = ew.ExtProgram((
-    ("merge", ew.Func(("S", "T", "i", "m", "n"), (), MERGE_BODY)),
-))
-MERGE_FUNCTIONS_SRC = ("fun merge(S, T, i, m, n) returns () { "
-                       + MERGE_BODY_SRC + " }")
 
 _LOOP_BUDGET = SampleBudget(max_depth=4096, max_samples=1)
 
@@ -463,24 +461,10 @@ def msort_corpus(count: int, seed: int) -> list:
 # List merging (functional)
 # ---------------------------------------------------------------------------
 
-def _le(a: str, b: str) -> fn.FExpr:
-    return fn.FNot(fn.FBin("<", fn.FVar(b), fn.FVar(a)))
-
-
-IF_EXPR = fn.FIf(
-    _le("i", "i'"),
-    fn.FCons(fn.FVar("i"),
-             fn.FApp(fn.FApp(fn.FVar("merge"), fn.FVar("r")),
-                     fn.FVar("x'"))),
-    fn.FCons(fn.FVar("i'"),
-             fn.FApp(fn.FApp(fn.FVar("merge"), fn.FVar("x")),
-                     fn.FVar("r'"))))
-LCASE_EXPR = fn.FListCase(
-    fn.FVar("x"), fn.FVar("x'"),
-    fn.FLam("i", fn.FLam("r", fn.FListCase(
-        fn.FVar("x'"), fn.FVar("x"),
-        fn.FLam("i'", fn.FLam("r'", IF_EXPR))))))
-MERGE_LAM = fn.FLam("x", fn.FLam("x'", LCASE_EXPR))
+MERGE_LAM = fn.parse_expr(
+    r"\x. \x'. listcase x of (x', \i. \r. listcase x' of (x, \i'. \r'. "
+    r"if i <= i' then i :: merge r x' else i' :: merge x r'))")
+LCASE_EXPR = MERGE_LAM.body.body
 UNFOLDED_FUN = fn.FLam("x", fn.FLetRec("merge", MERGE_LAM,
                                        fn.FLam("x'", LCASE_EXPR)))
 

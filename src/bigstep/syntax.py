@@ -10,10 +10,9 @@ from dataclasses import MISSING, dataclass, fields
 
 
 # Past this nesting depth, a node's comparison with a distinct node runs
-# from an explicit stack, and its repr is cut short, not run through the
-# field code that `slot_init` generates, whose calls recurse through C
-# frames that no recursion limit guards.  A level takes two Python frames:
-# well under the default limit of 1,000.
+# from an explicit stack, and its repr is cut short: both recurse through
+# C frames that no recursion limit guards.  A level takes two Python
+# frames: well under the default limit of 1,000.
 _MAX_NESTING = 200
 _nesting = 0  # open Node.__eq__/__repr__ calls, for one thread
 # While an outermost Node.__eq__ runs: the node pairs found equal so far,
@@ -80,7 +79,9 @@ class Node:
             return self.__class__.__qualname__ + "(...)"
         _nesting += 1
         try:
-            return self._field_repr()
+            return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+                "%s=%r" % (name, getattr(self, name))
+                for name in self.__match_args__))
         finally:
             _nesting -= 1
 
@@ -99,9 +100,8 @@ def slot_init(cls, node: bool = False):
 
     For a `Node` class (`node`), the constructor then sets every slot the
     class inherits (a cache) to None, except `_hash`, which gets the hash
-    of the field tuple.  The same code defines `_field_eq` and
-    `_field_repr`, the dataclass's field comparison and repr, which `Node`
-    calls."""
+    of the field tuple.  The same code defines `_field_eq`, the
+    dataclass's field comparison, which `Node.__eq__` calls."""
     names = [f.name for f in fields(cls)]
     env = {"_set_" + n: getattr(cls, n).__set__ for n in names}
     params = ["self"]
@@ -120,15 +120,12 @@ def slot_init(cls, node: bool = False):
         body += ["_set_%s(self, None)" % s for s in inherited if s != "_hash"]
         body.append("_set__hash(self, hash((%s)))"
                     % "".join(n + ", " for n in names))
-        methods += ["_field_eq", "_field_repr"]
+        methods.append("_field_eq")
         more = (
             "def _field_eq(self, other):\n"
-            "    return (%s) == (%s)\n"
-            "def _field_repr(self):\n"
-            "    return f\"{self.__class__.__qualname__}(%s)\"\n" % (
+            "    return (%s) == (%s)\n" % (
                 "".join("self.%s, " % n for n in names),
-                "".join("other.%s, " % n for n in names),
-                ", ".join("%s={self.%s!r}" % (n, n) for n in names)))
+                "".join("other.%s, " % n for n in names)))
     exec("def __init__(%s):\n    %s\n%s" % (
         ", ".join(params), "\n    ".join(body) or "pass", more), env)
     for name in methods:

@@ -209,6 +209,23 @@ def test_parse_error_exits_two(capsys):
 
 
 @pytest.mark.parametrize("lang,config,message", [
+    ("extwhile", "array A[-1]", "array size must be non-negative"),
+    ("fun", "letrec f = 1 in f", "letrec must bind a lambda abstraction"),
+])
+def test_ill_formed_binding_exits_two(capsys, lang, config, message):
+    code, out, err = run_cli(capsys, "run", "--lang", lang,
+                             "--config", config)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_printed_empty_while_state_is_read_back(capsys):
+    # `all zero` is how While prints the empty state; it exited 2.
+    assert run_cli(capsys, "run", "--lang", "while", "--config", "x := 0",
+                   "--state", "all zero") == (0, "all zero\n", "")
+
+
+@pytest.mark.parametrize("lang,config,message", [
     ("while", "skip || x=1, x=2", "x is given twice"),
     ("extwhile", "skip || S=[1,2], S=[5]", "S is given twice"),
     ("extwhile", "fun f() returns (r) { r := 1 } "

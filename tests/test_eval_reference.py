@@ -262,6 +262,8 @@ class FAlien(FNode):
     pytest.param(lambda: lang_fun.fun_rules(FAlien()), id="fun_rules"),
     pytest.param(lambda: lang_fun.subst(FAlien(), "x", FNum(1)),
                  id="subst"),
+    pytest.param(lambda: lang_fun.occurrences(FAlien()),
+                 id="occurrences"),
 ])
 def test_unknown_node_class_raises_value_error(call):
     with pytest.raises(ValueError, match="^bad "):

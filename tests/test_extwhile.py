@@ -17,8 +17,7 @@ from bigstep.lang_extwhile import (LEXICON, PLUGIN, ABin, AIdx, AName, ANum,
                                    While, aeval, beval, call_fin, call_ini,
                                    ext_rules, parse_config, parse_functions,
                                    parse_state, parse_stmt)
-from bigstep.spec_lib import (MERGE_FUNCTIONS_SRC, MERGE_PROGRAM,
-                              merge_call_config)
+from bigstep.spec_lib import merge_call_config
 from bigstep.syntax import ParseError
 
 # An integer of 5,001 digits: past CPython's default limit of 4,300 on
@@ -337,10 +336,6 @@ _STATE_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}",
 def test_every_printed_state_parses_back(names, heap, nextloc):
     state = ExtState.of(names, heap, nextloc)
     assert parse_state(str(state)) == state
-
-
-def test_merge_program_source_parses_to_the_bundled_program():
-    assert parse_functions(MERGE_FUNCTIONS_SRC) == MERGE_PROGRAM
 
 
 @settings(max_examples=200, deadline=None)

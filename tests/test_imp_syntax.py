@@ -1,6 +1,6 @@
 """The imperative front end While and ExtWhile share: one set of syntax
 classes, one grammar read with each language's lexicon, and one printer
-whose output parses back to the same text."""
+whose output parses back to the same statement."""
 
 from dataclasses import fields
 
@@ -98,16 +98,23 @@ def test_generated_while_programs_stay_within_the_while_lexicon():
 
 
 def _generated(language):
-    return ([c.stmt for c in random_corpus(language, 300, 11)]
-            + [c.stmt for c in loop_free_corpus(language, 300, 11)])
+    return random_corpus(language, 300, 11) + loop_free_corpus(
+        language, 300, 11)
 
 
 @pytest.mark.parametrize("module", [lang_while, lang_extwhile],
                          ids=["while", "extwhile"])
-def test_printed_generated_programs_parse_back_to_the_same_text(module):
-    # Text, not structure: `a ; b ; c` parses right-nested whatever the
-    # printed nesting, so a left-nested Seq re-associates.
-    language = module.PLUGIN.name
-    for stmt in _generated(language):
-        text = imp_syntax.print_stmt(stmt)
-        assert imp_syntax.print_stmt(module.parse_stmt(text)) == text, text
+def test_printed_generated_programs_parse_back_to_themselves(module):
+    # The generator builds left-nested sequences, which `;` alone would
+    # print as right-nested ones.
+    for config in _generated(module.PLUGIN.name):
+        text = imp_syntax.print_stmt(config.stmt)
+        assert module.parse_stmt(text) == config.stmt, text
+
+
+@pytest.mark.parametrize("module", [lang_while, lang_extwhile],
+                         ids=["while", "extwhile"])
+def test_printed_generated_states_parse_back_to_themselves(module):
+    for config in _generated(module.PLUGIN.name):
+        text = str(config.state)
+        assert module.parse_state(text) == config.state, text
